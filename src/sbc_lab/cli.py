@@ -42,7 +42,7 @@ def _model_catalog() -> dict[str, dict[str, list[str]]]:
         "gaussian": {
             "variants": sorted(gaussian.VARIANT_NAMES),
             "quantities": sorted(
-                gaussian.default_quantity_names(gaussian.make_variant("correct", 3))
+                q.name for q in gaussian.quantity_library(3, gaussian.make_variant("correct", 3))
             ),
         },
         "simplex": {

@@ -5,7 +5,10 @@ binomial tail probability of the rank ECDF against the uniform reference.
 Its null distribution (uniform ranks) is estimated once per (S, M) by Monte
 Carlo from a fixed calibration stream and cached, so the reported threshold
 is reproducible across runs and shared across seeds, quantities and variants.
-All gamma arithmetic happens in log space; see :mod:`sbc_lab.binomial`.
+All gamma arithmetic happens in log space through one kernel: binomial tail
+tables per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank counts. The
+observed gamma, the null draws and every prefix of the evolution trace go
+through it, so a statistic that ties its threshold compares equal bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from scipy import stats
 
-from .binomial import log_binom_pmf, log_binom_tables
+from .binomial import log_binom_tables
 from .core import SbcRun
 from .rng import stream
 
@@ -109,42 +112,35 @@ class EvolutionTrace:
 
 
 def _rank_counts(ranks: np.ndarray, M: int) -> np.ndarray:
-    """R[i-1] = #{ranks < i} for i = 1..M+1."""
-    return np.cumsum(np.bincount(ranks, minlength=M + 1))
+    """R[b, i-1] = #{ranks[b] < i} for i = 1..M+1, per row of a (B, S) rank matrix."""
+    B = ranks.shape[0]
+    offsets = np.arange(B) * (M + 1)
+    counts = np.bincount((ranks + offsets[:, None]).ravel(), minlength=B * (M + 1))
+    return np.cumsum(counts.reshape(B, M + 1), axis=1)
 
 
 def _z_points(M: int) -> np.ndarray:
     return np.arange(1, M + 2, dtype=float) / (M + 1)
 
 
-def _masked_logsumexp(lp: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    shifted = np.where(mask, lp, -np.inf)
-    mx = shifted.max(axis=1)
-    finite = mx > -np.inf
-    out = np.full(lp.shape[0], -np.inf)
-    if np.any(finite):
-        with np.errstate(invalid="ignore"):
-            terms = np.exp(shifted[finite] - mx[finite, None])
-        out[finite] = mx[finite] + np.log(terms.sum(axis=1))
-    return out
+@lru_cache(maxsize=1)
+def _cached_tables(S: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    return log_binom_tables(S, _z_points(M))
 
 
-def _log_gamma_from_counts(R: np.ndarray, S: int, M: int) -> float:
-    """Exact log gamma for one rank-count vector, no precomputed tables."""
-    z = _z_points(M)
-    lp = log_binom_pmf(S, z)
-    k = np.arange(S + 1)[None, :]
-    log_cdf = _masked_logsumexp(lp, k <= R[:, None])
-    log_ge = _masked_logsumexp(lp, k >= R[:, None])
-    return _LOG2 + float(np.minimum(log_cdf, log_ge).min())
+def _log_gammas_for_matrix(ranks: np.ndarray, M: int) -> np.ndarray:
+    """Log gamma of each row of an (B, S) rank matrix, via shared tables."""
+    log_cdf, log_ge = _cached_tables(ranks.shape[1], M)
+    R = _rank_counts(ranks, M)
+    cols = np.arange(M + 1)[None, :]
+    return _LOG2 + np.minimum(log_cdf[cols, R], log_ge[cols, R]).min(axis=1)
 
 
 def log_gamma_statistic(rank_set: RankSet) -> float:
     """Log of the gamma statistic, exact even when gamma underflows."""
     if rank_set.S < 1:
         raise ValueError("rank set must contain at least one rank")
-    R = _rank_counts(rank_set.ranks, rank_set.max_rank)
-    return _log_gamma_from_counts(R, rank_set.S, rank_set.max_rank)
+    return float(_log_gammas_for_matrix(rank_set.ranks[None, :], rank_set.max_rank)[0])
 
 
 def gamma_statistic(rank_set: RankSet) -> float:
@@ -155,26 +151,6 @@ def gamma_statistic(rank_set: RankSet) -> float:
     to 0.0 in extreme cases; use :func:`log_gamma_statistic` then.
     """
     return float(np.exp(log_gamma_statistic(rank_set)))
-
-
-@lru_cache(maxsize=4)
-def _cached_tables(S: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    return log_binom_tables(S, _z_points(M))
-
-
-def _log_gammas_for_matrix(ranks: np.ndarray, M: int) -> np.ndarray:
-    """Log gamma of each row of an (B, S) rank matrix, via shared tables."""
-    B, S = ranks.shape
-    log_cdf, log_ge = _cached_tables(S, M)
-    offsets = np.arange(B) * (M + 1)
-    counts = np.bincount(
-        (ranks + offsets[:, None]).ravel(), minlength=B * (M + 1)
-    ).reshape(B, M + 1)
-    R = np.cumsum(counts, axis=1)
-    cols = np.arange(M + 1)[None, :]
-    term_lo = log_cdf[cols, R]
-    term_hi = log_ge[cols, R]
-    return _LOG2 + np.minimum(term_lo, term_hi).min(axis=1)
 
 
 def gamma_null_quantile(
@@ -249,33 +225,35 @@ def evolution_table(
     For each prefix length the observed log gamma is compared against the
     cached null quantile for that prefix size; log_ratio < 0 means rejection
     of uniformity at ``level``. Prefix lengths run step, 2*step, ..., S with
-    S always included, and the binomial work per prefix is shared across
-    quantities, so prefer this over per-quantity calls for wide rank tables.
+    S always included. The quantities are stacked into one (Q, S) rank
+    matrix, so each prefix is one kernel call on tables shared by all of
+    them; prefer this over per-quantity calls for wide rank tables.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    items = [(q, np.asarray(r, dtype=int)) for q, r in ranks_by_quantity.items()]
-    if not items:
+    names = list(ranks_by_quantity)
+    if not names:
         return []
-    S = items[0][1].size
-    if any(r.size != S for _, r in items):
+    rows = [np.asarray(ranks_by_quantity[q], dtype=int) for q in names]
+    S = rows[0].size
+    if any(r.size != S for r in rows):
         raise ValueError("all quantities must have the same number of ranks")
+    if S < 1:
+        raise ValueError("rank arrays must contain at least one rank")
+    ranks = np.stack(rows)
+    if ranks.min() < 0 or ranks.max() > M:
+        raise ValueError("ranks must lie in [0, M]")
     lengths = _prefix_lengths(S, step)
-    z = _z_points(M)
-    cols = np.arange(M + 1)
-    out = {q: np.empty(len(lengths)) for q, _ in items}
+    log_ratio = np.empty((len(names), len(lengths)))
     for j, n in enumerate(lengths):
-        lp = log_binom_pmf(n, z)
-        k = np.arange(n + 1)[None, :]
+        # the null first: on a miss it builds the (n, M) tables the kernel reuses
         log_bar = log_gamma_null_quantile_cached(n, M, level, n_mc)
-        for q, ranks in items:
-            R = _rank_counts(ranks[:n], M)
-            log_cdf = _masked_logsumexp(lp, k <= R[:, None])
-            log_ge = _masked_logsumexp(lp, k >= R[:, None])
-            log_gamma = _LOG2 + float(np.minimum(log_cdf, log_ge).min())
-            out[q][j] = log_gamma - log_bar
+        log_ratio[:, j] = _log_gammas_for_matrix(ranks[:, :n], M) - log_bar
     n_sims = np.asarray(lengths, dtype=int)
-    return [EvolutionTrace(quantity=q, n_sims=n_sims, log_ratio=out[q]) for q, _ in items]
+    return [
+        EvolutionTrace(quantity=q, n_sims=n_sims, log_ratio=log_ratio[i])
+        for i, q in enumerate(names)
+    ]
 
 
 def evolution_trace(
@@ -303,7 +281,7 @@ class EcdfBand:
     upper: np.ndarray
 
     def contains(self, rank_set: RankSet) -> bool:
-        R = _rank_counts(rank_set.ranks, self.M)
+        R = _rank_counts(rank_set.ranks[None, :], self.M)[0]
         return bool(np.all(R >= self.lower) and np.all(R <= self.upper))
 
 
@@ -341,10 +319,7 @@ def ecdf_band(
         )
     if rng is None:
         rng = stream(NULL_CALIBRATION_SEED, ((S << 21) ^ M) + (1 << 55))
-    ranks = rng.integers(0, M + 1, size=(n_mc, S))
-    offsets = np.arange(n_mc) * (M + 1)
-    counts = np.bincount((ranks + offsets[:, None]).ravel(), minlength=n_mc * (M + 1))
-    R = np.cumsum(counts.reshape(n_mc, M + 1), axis=1)
+    R = _rank_counts(rng.integers(0, M + 1, size=(n_mc, S)), M)
 
     def joint_coverage(alpha: float) -> float:
         lo, hi = _pointwise_bounds(S, z, alpha)

@@ -23,7 +23,6 @@ __all__ = [
     "GaussianGenerator",
     "make_variant",
     "quantity_library",
-    "default_quantity_names",
     "VARIANT_NAMES",
     "grand_mean_positive",
     "component_mean_positive",
@@ -252,21 +251,3 @@ def quantity_library(n: int, variant=None) -> list[TestQuantity]:
 
         quantities.append(TestQuantity("density_ratio", ratio))
     return quantities
-
-
-def default_quantity_names(variant=None) -> list[str]:
-    names = [
-        "mu[1]",
-        "mu[2]",
-        "sum",
-        "diff",
-        "product",
-        "mvn_log_lik",
-        "mvn_log_lik[1]",
-        "mvn_log_lik[2]",
-        "abs_mu1",
-        "drop_mu1",
-    ]
-    if variant is not None and hasattr(variant, "log_density"):
-        names.append("density_ratio")
-    return names

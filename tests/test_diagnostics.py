@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from sbc_lab.diagnostics import (
+    NULL_CALIBRATION_SEED,
     RankSet,
     chi_square_uniformity,
     ecdf_band,
@@ -106,6 +107,21 @@ class TestNullQuantile:
         with pytest.raises(ValueError):
             gamma_null_quantile(10, 5, 0.05, 100, stream(0, 0))
 
+    def test_tie_at_threshold_passes(self):
+        # a null draw whose gamma is the 5% quantile itself must not reject:
+        # the statistic and the threshold come from the same kernel
+        S, M = 90, 100
+        null_ranks = stream(NULL_CALIBRATION_SEED, (S << 21) ^ M).integers(0, M + 1, size=(5000, S))
+        log_bar = log_gamma_null_quantile_cached(S, M)
+        log_gammas = np.array([log_gamma_statistic(RankSet(r, M)) for r in null_ranks])
+        row = null_ranks[np.argmin(np.abs(log_gammas - log_bar))]
+        res = gamma_result(RankSet(row, M))
+        assert res.log_ratio == 0.0
+        assert not res.rejects
+        trace = evolution_trace(row, M, step=30)
+        assert trace.n_sims[-1] == S
+        assert trace.final_log_ratio == 0.0
+
 
 class TestEvolution:
     def test_prefix_grid_and_final_consistency(self):
@@ -113,8 +129,9 @@ class TestEvolution:
         trace = evolution_trace(ranks, 50, quantity="q", step=20)
         assert trace.n_sims[0] == 20
         assert trace.n_sims[-1] == 205  # S always included
-        fresh = log_gamma_statistic(RankSet(ranks, 50)) - log_gamma_null_quantile_cached(205, 50)
-        assert trace.final_log_ratio == pytest.approx(fresh, rel=1e-12)
+        for n, log_ratio in zip(trace.n_sims, trace.log_ratio):
+            fresh = log_gamma_statistic(RankSet(ranks[:n], 50)) - log_gamma_null_quantile_cached(n, 50)
+            assert log_ratio == fresh
 
     def test_multi_quantity_table_matches_single(self):
         rng = stream(33, 0)
@@ -130,6 +147,10 @@ class TestEvolution:
         trace = evolution_trace(np.zeros(100, dtype=int), 100, step=10)
         assert trace.first_rejection() is not None
         assert trace.first_rejection() <= 20
+        with pytest.raises(ValueError):
+            evolution_trace(np.zeros(0, dtype=int), 100, step=10)
+        with pytest.raises(ValueError):
+            evolution_table({"a": np.full(10, 101), "b": np.zeros(10, dtype=int)}, 100)
 
 
 class TestEcdfBand:
