@@ -2,13 +2,17 @@
 
 The workhorse is the gamma statistic: twice the most extreme pointwise
 binomial tail probability of the rank ECDF against the uniform reference.
-Its null distribution (uniform ranks) is estimated once per (S, M) by Monte
-Carlo from a fixed calibration stream and cached, so the reported threshold
-is reproducible across runs and shared across seeds, quantities and variants.
-All gamma arithmetic happens in log space through one kernel: binomial tail
-tables per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank counts. The
-observed gamma, the null draws and every prefix of the evolution trace go
-through it, so a statistic that ties its threshold compares equal bit for bit.
+Its null distribution (uniform ranks) is estimated by Monte Carlo from a
+fixed calibration stream and cached, so the reported threshold is
+reproducible across runs and shared across seeds, quantities and variants.
+There is one prefix-consistent calibration draw per (M, n_mc): the null for
+S simulations is its first S rows, so one pass down the draw, a block of rows
+at a time, fills the null of every prefix of an evolution trace.
+All gamma arithmetic happens in log space through one kernel: one table of
+binomial tail minima per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank
+counts. The observed gamma, the null draws and every prefix of the evolution
+trace go through it, so a statistic that ties its threshold compares equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -48,6 +52,15 @@ __all__ = [
 # bands. A constant (rather than the experiment seed) keeps report files
 # byte-reproducible and lets every run share one null table per (S, M).
 NULL_CALIBRATION_SEED = 0x5BC1AB
+
+# Stream ids under NULL_CALIBRATION_SEED: the band draw for (S, M) is
+# ((S << 21) ^ M) + 2**55, below 2**56 for any S < 2**34; the null draw for
+# (M, n_mc) is 2**63 + (M << 32) + n_mc, which no band id reaches.
+_NULL_STREAM = 1 << 63
+
+# Rows per calibration draw call: the draws hold O(_ROW_BLOCK * width) ranks
+# in memory at any S.
+_ROW_BLOCK = 64
 
 _LOG2 = float(np.log(2.0))
 
@@ -124,16 +137,39 @@ def _z_points(M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _cached_tables(S: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    return log_binom_tables(S, _z_points(M))
+def _cached_tables(S: int, M: int) -> np.ndarray:
+    """[i, k] = min(log P(X <= k), log P(X >= k)) for X ~ Bin(S, z_i), k = 0..S."""
+    log_cdf, log_ge = log_binom_tables(S, _z_points(M))
+    np.minimum(log_cdf, log_ge[:, : S + 1], out=log_cdf)
+    log_cdf.flags.writeable = False
+    return log_cdf
+
+
+def _log_gammas_from_counts(R: np.ndarray, S: int, M: int) -> np.ndarray:
+    """Log gamma of each row of a (B, M+1) matrix of ECDF counts of S ranks.
+
+    R is overwritten with flat table indices. That saves a (B, M+1)
+    temporary: at B = n_mc a fresh one costs about as much in page faults
+    as the arithmetic.
+    """
+    table = _cached_tables(S, M)
+    R += np.arange(M + 1) * (S + 1)
+    return _LOG2 + np.take(table, R).min(axis=1)
 
 
 def _log_gammas_for_matrix(ranks: np.ndarray, M: int) -> np.ndarray:
-    """Log gamma of each row of an (B, S) rank matrix, via shared tables."""
-    log_cdf, log_ge = _cached_tables(ranks.shape[1], M)
-    R = _rank_counts(ranks, M)
-    cols = np.arange(M + 1)[None, :]
-    return _LOG2 + np.minimum(log_cdf[cols, R], log_ge[cols, R]).min(axis=1)
+    """Log gamma of each row of an (B, S) rank matrix."""
+    return _log_gammas_from_counts(_rank_counts(ranks, M), ranks.shape[1], M)
+
+
+def _row_blocks(rng: np.random.Generator, n_rows: int, width: int, M: int):
+    """Rows of one ``rng.integers(0, M + 1, size=(n_rows, width))`` draw, in blocks.
+
+    Successive draws from one generator continue its sequence, so the blocks
+    stacked are bit for bit the one-shot draw.
+    """
+    for start in range(0, n_rows, _ROW_BLOCK):
+        yield rng.integers(0, M + 1, size=(min(_ROW_BLOCK, n_rows - start), width))
 
 
 def log_gamma_statistic(rank_set: RankSet) -> float:
@@ -153,14 +189,18 @@ def gamma_statistic(rank_set: RankSet) -> float:
     return float(np.exp(log_gamma_statistic(rank_set)))
 
 
-def gamma_null_quantile(
-    S: int, M: int, level: float, n_mc: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo quantile of gamma under uniform ranks, deterministic given rng."""
+def _check_null_args(level: float, n_mc: int) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     if n_mc < 1000:
         raise ValueError("n_mc must be at least 1000")
+
+
+def gamma_null_quantile(
+    S: int, M: int, level: float, n_mc: int, rng: np.random.Generator
+) -> float:
+    """Monte-Carlo quantile of gamma under uniform ranks, deterministic given rng."""
+    _check_null_args(level, n_mc)
     ranks = rng.integers(0, M + 1, size=(n_mc, S))
     log_gammas = _log_gammas_for_matrix(ranks, M)
     return float(np.exp(np.quantile(log_gammas, level)))
@@ -170,23 +210,59 @@ _null_cache: dict[tuple[int, int, int], np.ndarray] = {}
 _null_lock = threading.Lock()
 
 
-def _null_log_gammas(S: int, M: int, n_mc: int) -> np.ndarray:
-    key = (S, M, n_mc)
-    got = _null_cache.get(key)
-    if got is None:
-        rng = stream(NULL_CALIBRATION_SEED, (S << 21) ^ M)
-        ranks = rng.integers(0, M + 1, size=(n_mc, S))
-        got = np.sort(_log_gammas_for_matrix(ranks, M))
-        with _null_lock:
-            _null_cache.setdefault(key, got)
-    return got
+def _null_rows(n: int, M: int, n_mc: int):
+    """First n rows of the calibration draw for (M, n_mc), in row blocks.
+
+    Row s holds simulation s of each of the n_mc null replicates (columns).
+    """
+    rng = stream(NULL_CALIBRATION_SEED, _NULL_STREAM + (M << 32) + n_mc)
+    yield from _row_blocks(rng, n, n_mc, M)
+
+
+def _prefix_nulls(lengths: list[int], M: int, n_mc: int):
+    """Yield (n, sorted null log gammas) for each ascending prefix length n.
+
+    A missing null is filled in the same pass: the rows of the calibration
+    draw are added block by block to running (n_mc, M+1) ECDF counts, which
+    are read at each missing n. When (n, ...) is yielded the (n, M) table is
+    current, so the caller's own kernel call at n reuses it.
+    """
+    blocks = _null_rows(lengths[-1], M, n_mc)  # lazy: opens the stream on the first miss
+    block = np.empty((0, n_mc), dtype=np.int64)
+    counted = 0
+    counts = None  # allocated on the first miss: hits, the warm path, need none
+    for n in lengths:
+        key = (n, M, n_mc)
+        got = _null_cache.get(key)
+        if got is None:
+            if counts is None:
+                # counts[b * (M+1) + v]: rank v among the counted rows of replicate b
+                counts = np.zeros(n_mc * (M + 1), dtype=np.int64)
+                replicate = np.arange(n_mc) * (M + 1)
+                R = np.empty((n_mc, M + 1), dtype=np.int64)
+            while counted < n:
+                if not len(block):
+                    block = next(blocks)
+                take = min(n - counted, len(block))
+                np.add.at(counts, block[:take] + replicate, 1)
+                block = block[take:]
+                counted += take
+            np.cumsum(counts.reshape(n_mc, M + 1), axis=1, out=R)
+            got = np.sort(_log_gammas_from_counts(R, n, M))
+            with _null_lock:
+                got = _null_cache.setdefault(key, got)
+        yield n, got
 
 
 def log_gamma_null_quantile_cached(
     S: int, M: int, level: float = 0.05, n_mc: int = 5000
 ) -> float:
     """Log of the null quantile from the fixed calibration stream, cached."""
-    return float(np.quantile(_null_log_gammas(S, M, n_mc), level))
+    _check_null_args(level, n_mc)
+    if S < 1:
+        raise ValueError("S must be at least 1")
+    [(_, log_null)] = _prefix_nulls([S], M, n_mc)
+    return float(np.quantile(log_null, level))
 
 
 def gamma_result(
@@ -231,6 +307,7 @@ def evolution_table(
     """
     if step < 1:
         raise ValueError("step must be >= 1")
+    _check_null_args(level, n_mc)
     names = list(ranks_by_quantity)
     if not names:
         return []
@@ -245,9 +322,8 @@ def evolution_table(
         raise ValueError("ranks must lie in [0, M]")
     lengths = _prefix_lengths(S, step)
     log_ratio = np.empty((len(names), len(lengths)))
-    for j, n in enumerate(lengths):
-        # the null first: on a miss it builds the (n, M) tables the kernel reuses
-        log_bar = log_gamma_null_quantile_cached(n, M, level, n_mc)
+    for j, (n, log_null) in enumerate(_prefix_nulls(lengths, M, n_mc)):
+        log_bar = float(np.quantile(log_null, level))
         log_ratio[:, j] = _log_gammas_for_matrix(ranks[:, :n], M) - log_bar
     n_sims = np.asarray(lengths, dtype=int)
     return [
@@ -319,7 +395,7 @@ def ecdf_band(
         )
     if rng is None:
         rng = stream(NULL_CALIBRATION_SEED, ((S << 21) ^ M) + (1 << 55))
-    R = _rank_counts(rng.integers(0, M + 1, size=(n_mc, S)), M)
+    R = np.concatenate([_rank_counts(block, M) for block in _row_blocks(rng, n_mc, S, M)])
 
     def joint_coverage(alpha: float) -> float:
         lo, hi = _pointwise_bounds(S, z, alpha)

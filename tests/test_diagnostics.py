@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sbc_lab.binomial import log_binom_tables
+from sbc_lab.cli import main
 from sbc_lab.diagnostics import (
+    _NULL_STREAM,
     NULL_CALIBRATION_SEED,
     RankSet,
+    _null_cache,
+    _null_rows,
     chi_square_uniformity,
     ecdf_band,
     evolution_table,
@@ -17,6 +22,7 @@ from sbc_lab.diagnostics import (
     log_gamma_null_quantile_cached,
     log_gamma_statistic,
 )
+from sbc_lab.reports import read_ranks_csv
 from sbc_lab.rng import stream
 
 
@@ -33,6 +39,28 @@ def brute_force_gamma(ranks, M):
         upper = terms[R:].sum()  # P(X >= R) = 1 - Bin(R - 1)
         best = min(best, cdf, upper)
     return 2.0 * best
+
+
+def exact_null_cdf(S, M, x, strict=False):
+    """Exact P(log gamma <= x), or P(log gamma < x) if strict, under uniform ranks.
+
+    Säilynoja, Bürkner & Vehtari (arXiv:2103.10522): given R_{i-1} = r the
+    next ECDF count R_i - r is Binomial(S - r, 1 / (M + 2 - i)). A dynamic
+    program over r, kept inside the counts where every point's
+    log 2 + tail[i, R_i] stays above x (at or above, if strict), gives the
+    probability that gamma clears x.
+    """
+    log_cdf, log_ge = log_binom_tables(S, np.arange(1, M + 2) / (M + 1))
+    tail = math.log(2.0) + np.minimum(log_cdf, log_ge[:, : S + 1])
+    inside = tail >= x if strict else tail > x
+    r = np.arange(S + 1)
+    p = np.zeros(S + 1)
+    p[0] = 1.0
+    for i in range(1, M + 2):
+        # step[r, r'] = P(R_i = r' | R_{i-1} = r)
+        step = stats.binom.pmf(r[None, :] - r[:, None], S - r[:, None], 1.0 / (M + 2 - i))
+        p = (p @ step) * inside[i - 1]
+    return 1.0 - p.sum()
 
 
 class TestGammaStatistic:
@@ -106,12 +134,23 @@ class TestNullQuantile:
     def test_n_mc_floor(self):
         with pytest.raises(ValueError):
             gamma_null_quantile(10, 5, 0.05, 100, stream(0, 0))
+        with pytest.raises(ValueError):
+            log_gamma_null_quantile_cached(50, 10, 0.05, 10)
+        with pytest.raises(ValueError):
+            log_gamma_null_quantile_cached(0, 10)
+        for level in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                log_gamma_null_quantile_cached(50, 10, level)
+            with pytest.raises(ValueError):
+                evolution_trace(np.zeros(20, dtype=int), 10, level=level)
+        with pytest.raises(ValueError):
+            evolution_trace(np.zeros(20, dtype=int), 10, n_mc=999)
 
     def test_tie_at_threshold_passes(self):
         # a null draw whose gamma is the 5% quantile itself must not reject:
         # the statistic and the threshold come from the same kernel
         S, M = 90, 100
-        null_ranks = stream(NULL_CALIBRATION_SEED, (S << 21) ^ M).integers(0, M + 1, size=(5000, S))
+        null_ranks = np.concatenate(list(_null_rows(S, M, 5000))).T
         log_bar = log_gamma_null_quantile_cached(S, M)
         log_gammas = np.array([log_gamma_statistic(RankSet(r, M)) for r in null_ranks])
         row = null_ranks[np.argmin(np.abs(log_gammas - log_bar))]
@@ -121,6 +160,25 @@ class TestNullQuantile:
         trace = evolution_trace(row, M, step=30)
         assert trace.n_sims[-1] == S
         assert trace.final_log_ratio == 0.0
+
+    def test_exact_small_s_oracle(self):
+        # the cached 5% quantile against the exact null cdf, within 4 MC sigma
+        S, M, n_mc = 40, 9, 5000
+        log_bar = log_gamma_null_quantile_cached(S, M, 0.05, n_mc)
+        sigma = math.sqrt(0.05 * 0.95 / n_mc)
+        assert exact_null_cdf(S, M, log_bar, strict=True) - 4 * sigma <= 0.05
+        assert 0.05 <= exact_null_cdf(S, M, log_bar) + 4 * sigma
+
+    def test_exact_oracle_matches_enumeration(self):
+        # S=3, M=2: all 27 rank triples are equally likely
+        S, M = 3, 2
+        grid = np.stack(np.meshgrid(*[np.arange(M + 1)] * S, indexing="ij"), -1).reshape(-1, S)
+        log_gammas = np.array([log_gamma_statistic(RankSet(r, M)) for r in grid])
+        for x in np.unique(log_gammas):
+            assert exact_null_cdf(S, M, x) == pytest.approx(np.mean(log_gammas <= x), abs=1e-12)
+            assert exact_null_cdf(S, M, x, strict=True) == pytest.approx(
+                np.mean(log_gammas < x), abs=1e-12
+            )
 
 
 class TestEvolution:
@@ -151,6 +209,37 @@ class TestEvolution:
             evolution_trace(np.zeros(0, dtype=int), 100, step=10)
         with pytest.raises(ValueError):
             evolution_table({"a": np.full(10, 101), "b": np.zeros(10, dtype=int)}, 100)
+
+    def test_prefix_pass_matches_standalone_null(self):
+        # the null of prefix n is the first n calibration rows, whether it is
+        # filled on its own or by an evolution pass; 63, 64, 65 straddle a row block
+        M, sizes = 100, (1, 63, 64, 65, 370)
+        blocks = np.concatenate(list(_null_rows(370, M, 5000)))
+        rng = stream(NULL_CALIBRATION_SEED, _NULL_STREAM + (M << 32) + 5000)
+        assert np.array_equal(blocks, rng.integers(0, M + 1, size=(370, 5000)))
+        standalone = {}
+        for n in sizes:
+            _null_cache.clear()
+            standalone[n] = (log_gamma_null_quantile_cached(n, M), _null_cache[(n, M, 5000)])
+        ranks = stream(41, 2).integers(0, M + 1, size=370)
+        for n in sizes:
+            _null_cache.clear()
+            evolution_table({"q": ranks[:n]}, M, step=37)
+            assert np.array_equal(_null_cache[(n, M, 5000)], standalone[n][1])
+            assert log_gamma_null_quantile_cached(n, M) == standalone[n][0]
+
+    def test_fill_order_gives_identical_files(self, tmp_path):
+        # report first (the CLI order) or evolution first (a warm loop)
+        argv = ["run", "--model", "gaussian", "--sims", "130", "--draws", "50", "--seed", "3"]
+        argv += ["--step", "20", "--no-timestamp", "--out"]
+        _null_cache.clear()
+        main(argv + [str(tmp_path / "a")])
+        ranks, M = read_ranks_csv(tmp_path / "a" / "ranks.csv")
+        _null_cache.clear()
+        evolution_table(ranks, M, step=20)
+        main(argv + [str(tmp_path / "b")])
+        for name in ("report.json", "evolution.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestEcdfBand:
