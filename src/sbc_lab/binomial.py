@@ -3,8 +3,12 @@
 The gamma diagnostic takes minima of binomial CDF values that can be far
 below the smallest positive double (events like "all ranks in one cell"),
 so every probability here is represented by its natural log and obtained by
-direct log-space summation of probability mass terms. For the sizes used in
-SBC runs (up to about 1e6 trials) the summation is exact to float rounding.
+direct log-space summation of probability mass terms, exact to float
+rounding.
+
+Memory, not accuracy, bounds the size: the gamma diagnostic keeps one
+(M+1) x (S+1) float64 table per (S, M), about 0.8 GB at S=10^6 and M=100,
+and building it holds about four such arrays at once (3.2 GB there).
 """
 
 from __future__ import annotations

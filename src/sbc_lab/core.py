@@ -190,6 +190,25 @@ def _resolve_jobs(n_jobs: int | None) -> int:
     return 1
 
 
+# Memory budget for the kept chains of one lockstep group of a batched
+# family: M * thin_stride float64 parameter vectors per simulation. At
+# M=100, thin=20 and four parameters it gives 524 chains per group.
+_LOCKSTEP_BYTES = 32 << 20
+
+
+def _checked_draws(got: Any, shape: tuple[int, int]) -> Any:
+    """Posterior draws as a float array of ``shape``, or the exception to record."""
+    if isinstance(got, Exception):
+        return got
+    try:
+        post = np.asarray(got, dtype=float)
+    except (TypeError, ValueError) as exc:
+        return exc
+    if post.shape != shape:
+        return ValueError(f"family returned draws of shape {post.shape}, expected {shape}")
+    return post
+
+
 def run_sbc(
     generator: Any,
     posterior_family: Any,
@@ -205,8 +224,12 @@ def run_sbc(
     Simulation ``i`` consumes three dedicated streams derived from ``seed``
     (generation, posterior sampling, tie-breaking), so the output is bitwise
     identical for a fixed seed regardless of thread count or schedule.
-    Simulations whose posterior sampling raises :class:`SamplerError` are
-    excluded from the rank table and counted in ``failures``.
+    A family with ``sample_batch`` samples simulations in lockstep groups
+    sized by ``_LOCKSTEP_BYTES``; a group whose call raises is rerun one
+    simulation at a time through ``sample``. Simulations whose sampling
+    raises (:class:`SamplerError` or anything else) or returns draws of the
+    wrong shape are excluded from the rank table and listed in ``failures``
+    with the exception type and message.
     """
     if S < 1 or M < 1 or thin_stride < 1:
         raise ValueError("S, M and thin_stride must all be >= 1")
@@ -225,55 +248,54 @@ def run_sbc(
         priors.append(np.asarray(theta, dtype=float))
         datasets.append(data)
 
-    draws: list[np.ndarray | SamplerError] = [None] * S  # type: ignore[list-item]
+    def _sample_one(i: int) -> Any:
+        try:
+            return posterior_family.sample(datasets[i], M, posterior_stream(seed, i), thin_stride)
+        except Exception as exc:  # noqa: BLE001 - one failing simulation must not end the run
+            return exc
+
     jobs = _resolve_jobs(n_jobs)
     if hasattr(posterior_family, "sample_batch"):
-        chunk = 128
+        # lockstep groups as large as the kept-chain budget allows, and at
+        # least one group per worker thread
+        chain_bytes = 8 * M * thin_stride * priors[0].size
+        chunk = min(max(1, _LOCKSTEP_BYTES // chain_bytes), -(-S // jobs))
         spans = [(lo, min(lo + chunk, S)) for lo in range(0, S, chunk)]
 
-        def _run_span(span: tuple[int, int]) -> tuple[int, list[np.ndarray | SamplerError]]:
+        def _run_span(span: tuple[int, int]) -> list[Any]:
             lo, hi = span
             streams = [posterior_stream(seed, i) for i in range(lo, hi)]
-            out = posterior_family.sample_batch(datasets[lo:hi], M, streams, thin_stride)
-            return lo, out
+            try:
+                out = list(posterior_family.sample_batch(datasets[lo:hi], M, streams, thin_stride))
+                if len(out) != hi - lo:
+                    raise ValueError(f"sample_batch gave {len(out)} results for {hi - lo} datasets")
+            except Exception:  # noqa: BLE001 - rerun the group one simulation at a time
+                # each simulation owns its stream, so the rerun isolates the failure
+                # and gives the other simulations their results from the group
+                out = [_sample_one(i) for i in range(lo, hi)]
+            return out
 
         if jobs > 1 and len(spans) > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for lo, out in pool.map(_run_span, spans):
-                    draws[lo : lo + len(out)] = out
+                draws = [d for out in pool.map(_run_span, spans) for d in out]
         else:
-            for span in spans:
-                lo, out = _run_span(span)
-                draws[lo : lo + len(out)] = out
+            draws = [d for span in spans for d in _run_span(span)]
+    elif jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            draws = list(pool.map(_sample_one, range(S)))
     else:
-
-        def _sample_one(i: int) -> np.ndarray | SamplerError:
-            try:
-                return posterior_family.sample(datasets[i], M, posterior_stream(seed, i), thin_stride)
-            except SamplerError as exc:
-                return exc
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                draws = list(pool.map(_sample_one, range(S)))
-        else:
-            draws = [_sample_one(i) for i in range(S)]
+        draws = [_sample_one(i) for i in range(S)]
 
     for i in range(S):
-        got = draws[i]
-        if isinstance(got, SamplerError):
-            run.failures.append((i, str(got)))
+        got = _checked_draws(draws[i], (M, priors[i].size))
+        if isinstance(got, Exception):
+            run.failures.append((i, f"{type(got).__name__}: {got}"))
             continue
-        post = np.asarray(got, dtype=float)
-        if post.shape != (M, priors[i].size):
-            raise ValueError(
-                f"family returned draws of shape {post.shape}, expected ({M}, {priors[i].size})"
-            )
         record = SimulationRecord(
             sim_index=i,
             prior_draw=priors[i],
             data=datasets[i],
-            posterior_draws=post,
+            posterior_draws=got,
             variant_name=run.variant_name,
             seed_info=(seed, i),
         )

@@ -396,11 +396,17 @@ def ecdf_band(
     if rng is None:
         rng = stream(NULL_CALIBRATION_SEED, ((S << 21) ^ M) + (1 << 55))
     R = np.concatenate([_rank_counts(block, M) for block in _row_blocks(rng, n_mc, S, M)])
+    # Many bisection steps round to the same integer bounds; count each
+    # distinct pair against the draws once.
+    covered: dict[bytes, float] = {}
 
     def joint_coverage(alpha: float) -> float:
         lo, hi = _pointwise_bounds(S, z, alpha)
-        inside = np.all((R >= lo[None, :]) & (R <= hi[None, :]), axis=1)
-        return float(inside.mean())
+        key = lo.tobytes() + hi.tobytes()
+        if key not in covered:
+            inside = np.all((R >= lo[None, :]) & (R <= hi[None, :]), axis=1)
+            covered[key] = float(inside.mean())
+        return covered[key]
 
     lo_a, hi_a = 0.0, 1.0 - 1e-9  # alpha = 0 degenerates to the full box [0, S]
     for _ in range(60):

@@ -15,7 +15,9 @@ cross-check.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -45,6 +47,14 @@ N_TRIALS = 10
 VARIANT_NAMES = ("min", "softmax-bad", "softmax-fixed", "gamma")
 
 _LOG_DIRICHLET_NORM = float(gammaln(ALPHA.sum()) - gammaln(ALPHA).sum())
+_ALPHA_MINUS_1 = ALPHA - 1.0
+# log(K + 1 - i) for the steps of the K = 4 bounded-vector recursion
+_LOG_DENOMS = tuple(np.log(d) for d in (4, 3, 2))
+
+# Iterations of proposal noise drawn per chain at a time; the noise buffers
+# of a lockstep group hold B x _NOISE_BLOCK x (dim + 1) floats whatever the
+# chain length.
+_NOISE_BLOCK = 128
 
 
 class DomainError(ValueError):
@@ -135,73 +145,80 @@ def unconstrained_dim(variant: str) -> int:
     return 4 if variant == "gamma" else 3
 
 
-def _log_posterior_batch(variant: str, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _multinomial_norm(ys: np.ndarray) -> np.ndarray:
+    """Per-row multinomial normaliser log(n!) - sum(log(y_k!)) of count rows."""
+    return gammaln(ys.sum(axis=1) + 1.0) - gammaln(ys + 1.0).sum(axis=1)
+
+
+def _log_posterior_batch(
+    variant: str, z: np.ndarray, ys: np.ndarray, norm: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized posterior log density over rows of z, with the implied x.
 
-    Rows that overflow or leave the domain get -inf (rejected by the
-    sampler) and an x row of NaN.
+    ``z`` and ``ys`` are 2-D float arrays, one row per chain; ``norm`` is
+    each row's multinomial normaliser (computed from ``ys`` when omitted),
+    constant along a chain. Rows that overflow or leave the domain get -inf
+    (rejected by the sampler). Overflow is expected here, so callers run the
+    kernel under ``np.errstate`` ignoring over, divide and invalid.
+
+    The work runs on transposed, contiguous (dim, B) copies: a sum over the
+    few components is then a left-to-right sum of contiguous rows, the same
+    values row-wise ``sum(axis=1)`` gives on small rows, without its
+    per-row loop.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    B = z.shape[0]
+    if norm is None:
+        norm = _multinomial_norm(ys)
+    zt = np.ascontiguousarray(z.T)
+    yt = np.ascontiguousarray(ys.T)
+    B = zt.shape[1]
     K = 4
-    lp = np.full(B, -np.inf)
-    xs = np.full((B, K), np.nan)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if variant == "min":
-            u = expit(z)
-            ok = np.all((u > 0.0) & (u < 1.0), axis=1)
-            base = np.where(ok, np.log(u * (1.0 - u)).sum(axis=1), -np.inf)
-            # unrolled recursion, vectorized across rows
-            b = np.zeros(B)
-            r = np.ones(B)
-            log_jac = np.zeros(B)
-            x = np.empty((B, K))
-            for i in range(K - 1):
-                denom = K - i
-                x[:, i] = b + r * u[:, i] / denom
-                log_jac += np.log(r) - np.log(denom)
-                b = x[:, i]
-                r = r * (1.0 - u[:, i])
-            x[:, K - 1] = b + r
-            ll = _model_log_density(x, ys)
-            lp = np.where(ok, base + log_jac + ll, -np.inf)
-            xs = x
-        elif variant in ("softmax-bad", "softmax-fixed"):
-            ez = np.exp(z)
-            v = np.cumsum(ez, axis=1)
-            ok = np.all(np.isfinite(v), axis=1) & np.all(ez > 0.0, axis=1)
-            base = z.sum(axis=1)
-            ev = np.exp(v)
-            s = 1.0 + ev.sum(axis=1)
-            ok &= np.isfinite(s)
-            x = np.concatenate([1.0 / s[:, None], ev / s[:, None]], axis=1)
-            exponent = K if variant == "softmax-fixed" else K - 1
-            log_jac = v.sum(axis=1) - exponent * np.log(s)
-            ll = _model_log_density(x, ys)
-            lp = np.where(ok, base + log_jac + ll, -np.inf)
-            xs = x
-        else:  # gamma
-            ez = np.exp(z)
-            w = np.cumsum(ez, axis=1)
-            ok = np.all(np.isfinite(w), axis=1) & np.all(ez > 0.0, axis=1)
-            base = z.sum(axis=1)
-            x = w / w.sum(axis=1)[:, None]
-            prior = ((ALPHA - 1.0) * np.log(w) - w).sum(axis=1)
-            ll = _multinomial_rows(x, ys)
-            lp = np.where(ok, base + prior + ll, -np.inf)
-            xs = x
+    if variant == "min":
+        # transform_min's recursion with b = 0 and r = 1 on entry. A u on the
+        # boundary {0, 1} makes ``base`` -inf and no term is +inf, so the
+        # finiteness mask below rejects it.
+        u = expit(zt)
+        one_minus_u = 1.0 - u
+        base = np.log(u * one_minus_u).sum(axis=0)
+        x = np.empty((K, B))
+        x[0] = u[0] / K
+        log_jac = 0.0 - _LOG_DENOMS[0]
+        r = one_minus_u[0]
+        for i in range(1, K - 1):
+            x[i] = x[i - 1] + r * u[i] / (K - i)
+            log_jac = log_jac + (np.log(r) - _LOG_DENOMS[i])
+            r = r * one_minus_u[i]
+        x[K - 1] = x[K - 2] + r
+        lp = base + log_jac + _model_log_density(x, yt, norm)
+    elif variant in ("softmax-bad", "softmax-fixed"):
+        ez = np.exp(zt)
+        v = np.cumsum(ez, axis=0)
+        ok = np.all(np.isfinite(v), axis=0) & np.all(ez > 0.0, axis=0)
+        base = zt.sum(axis=0)
+        ev = np.exp(v)
+        s = 1.0 + ev.sum(axis=0)
+        ok &= np.isfinite(s)
+        x = np.concatenate([1.0 / s[None, :], ev / s], axis=0)
+        exponent = K if variant == "softmax-fixed" else K - 1
+        log_jac = v.sum(axis=0) - exponent * np.log(s)
+        lp = np.where(ok, base + log_jac + _model_log_density(x, yt, norm), -np.inf)
+    else:  # gamma
+        ez = np.exp(zt)
+        w = np.cumsum(ez, axis=0)
+        ok = np.all(np.isfinite(w), axis=0) & np.all(ez > 0.0, axis=0)
+        base = zt.sum(axis=0)
+        x = w / w.sum(axis=0)
+        prior = (_ALPHA_MINUS_1[:, None] * np.log(w) - w).sum(axis=0)
+        ll = norm + (yt * np.log(x)).sum(axis=0)
+        lp = np.where(ok, base + prior + ll, -np.inf)
     lp = np.where(np.isfinite(lp), lp, -np.inf)
-    return lp, xs
+    return lp, x.T
 
 
-def _multinomial_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    norm = gammaln(ys.sum(axis=1) + 1.0) - gammaln(ys + 1.0).sum(axis=1)
-    return norm + (ys * np.log(x)).sum(axis=1)
-
-
-def _model_log_density(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return dirichlet_log_density(x, ALPHA) + _multinomial_rows(x, ys)
+def _model_log_density(x: np.ndarray, yt: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Dirichlet prior plus multinomial likelihood on (K, B) columns, sharing one log(x)."""
+    log_x = np.log(x)
+    prior = _LOG_DIRICHLET_NORM + (_ALPHA_MINUS_1[:, None] * log_x).sum(axis=0)
+    return prior + (norm + (yt * log_x).sum(axis=0))
 
 
 def log_posterior(variant: str, z: np.ndarray, y: np.ndarray) -> float:
@@ -212,7 +229,10 @@ def log_posterior(variant: str, z: np.ndarray, y: np.ndarray) -> float:
     and the model terms. Overflow maps to -inf so the sampler rejects.
     """
     unconstrained_dim(variant)
-    lp, _ = _log_posterior_batch(variant, np.asarray(z, float)[None, :], np.asarray(y, float)[None, :])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lp, _ = _log_posterior_batch(
+            variant, np.asarray(z, float)[None, :], np.asarray(y, float)[None, :]
+        )
     return float(lp[0])
 
 
@@ -256,55 +276,97 @@ class _ChainState:
         return out
 
 
+def _cholesky_rows(chol: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of covariances, one per chain.
+
+    A chain whose matrix is not positive definite keeps its factor from
+    ``chol``; the others are refactored whatever the rest of the group holds.
+    """
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        out = chol.copy()
+        for b in range(cov.shape[0]):
+            try:
+                out[b] = np.linalg.cholesky(cov[b])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def _metropolis_block(
     log_density_batch,
     state: _ChainState,
-    normals: np.ndarray,
-    uniforms: np.ndarray,
+    streams: Sequence[np.random.Generator],
+    T: int,
     config: RwmConfig,
     warmup: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance B chains through one block of iterations, in lockstep.
+    """Advance B chains through T iterations, in lockstep.
+
+    Chain b draws its proposal noise from ``streams[b]``: T x dim standard
+    normals, then T uniforms, the same values one call for each would give,
+    but _NOISE_BLOCK iterations at a time. A copy of the stream yields the
+    normals; the stream itself, advanced past them, yields the uniforms and
+    ends where the one-shot draws would leave it, so a later block continues
+    from there.
 
     The first ``warmup`` iterations adapt the global step scale toward the
     target acceptance and, from a quarter of the warmup onward, a per-chain
     proposal covariance (through its Cholesky factor). Iterations after
-    ``warmup`` run with the kernel frozen and are returned along with the
-    per-chain acceptance counts. Pass warmup=0 to extend a frozen chain.
+    ``warmup`` run with the kernel frozen and are returned, as a
+    (B, T - warmup, dim) array, along with the per-chain acceptance counts.
+    Pass warmup=0 to extend a frozen chain.
     """
-    B, T, dim = normals.shape
+    B, dim = state.z.shape
+    normal_streams = []
+    for rng in streams:
+        normal_streams.append(copy.deepcopy(rng))
+        rng.standard_normal((T, dim))
+    normals = np.empty((B, _NOISE_BLOCK, dim))
+    uniforms = np.empty((B, _NOISE_BLOCK))
+    states = np.empty((_NOISE_BLOCK, B, dim))  # this block's positions, by iteration
     keep = np.empty((B, T - warmup, dim))
     accepts = np.zeros(B, dtype=int)
     adapt_from = warmup // 4
     mean = state.z.copy()
     cov_acc = np.zeros((B, dim, dim))
     count = 0
-    for t in range(T):
-        direction = np.einsum("bij,bj->bi", state.chol, normals[:, t, :])
-        prop = state.z + np.exp(state.log_step)[:, None] * direction
-        lp_prop = log_density_batch(prop)
-        with np.errstate(over="ignore"):
-            alpha = np.exp(np.minimum(0.0, lp_prop - state.lp))
-        alpha = np.where(np.isfinite(lp_prop), alpha, 0.0)
-        take = uniforms[:, t] < alpha
-        state.z = np.where(take[:, None], prop, state.z)
-        state.lp = np.where(take, lp_prop, state.lp)
-        if t < warmup:
-            state.log_step += (t + 1.0) ** (-0.6) * (alpha - config.target_accept)
-            if t >= adapt_from:
-                count += 1
-                delta = state.z - mean
-                mean += delta / count
-                cov_acc += np.einsum("bi,bj->bij", state.z - mean, delta)
-                if count >= 20 * dim and count % 100 == 0:
-                    cov = cov_acc / count + 1e-8 * np.eye(dim)
-                    try:
-                        state.chol = np.linalg.cholesky(cov)
-                    except np.linalg.LinAlgError:
-                        pass
-        else:
-            keep[:, t - warmup, :] = state.z
-            accepts += take
+    with np.errstate(over="ignore"):
+        for t0 in range(0, T, _NOISE_BLOCK):
+            L = min(_NOISE_BLOCK, T - t0)
+            for b in range(B):
+                normal_streams[b].standard_normal(out=normals[b, :L])
+                streams[b].random(out=uniforms[b, :L])  # the values uniform() gives
+            for t in range(t0, t0 + L):
+                k = t - t0
+                if t <= warmup:  # the step scale is frozen after warmup
+                    step = np.exp(state.log_step)[:, None]
+                direction = np.einsum("bij,bj->bi", state.chol, normals[:, k])
+                prop = state.z + step * direction
+                lp_prop = log_density_batch(prop)
+                alpha = np.exp(np.minimum(0.0, lp_prop - state.lp))
+                alpha = np.where(np.isfinite(lp_prop), alpha, 0.0)
+                take = uniforms[:, k] < alpha
+                state.z = np.where(take[:, None], prop, state.z)
+                state.lp = np.where(take, lp_prop, state.lp)
+                if t < warmup:
+                    state.log_step += (t + 1.0) ** (-0.6) * (alpha - config.target_accept)
+                    if t >= adapt_from:
+                        count += 1
+                        delta = state.z - mean
+                        mean += delta / count
+                        cov_acc += np.einsum("bi,bj->bij", state.z - mean, delta)
+                        if count >= 20 * dim and count % 100 == 0:
+                            state.chol = _cholesky_rows(
+                                state.chol, cov_acc / count + 1e-8 * np.eye(dim)
+                            )
+                else:
+                    states[k] = state.z
+                    accepts += take
+            lo = max(t0, warmup)
+            if lo < t0 + L:
+                keep[:, lo - warmup : t0 + L - warmup] = states[lo - t0 : L].transpose(1, 0, 2)
     return keep, accepts
 
 
@@ -338,9 +400,7 @@ def rwm_sample(
     if not np.all(np.isfinite(lp0)):
         raise SamplerError("log density not finite at the initial point")
     state = _ChainState(z0, lp0, config.init_step)
-    normals = rng.standard_normal((1, T, dim))
-    uniforms = rng.uniform(size=(1, T))
-    keep, accepts = _metropolis_block(batch, state, normals, uniforms, config, config.warmup)
+    keep, accepts = _metropolis_block(batch, state, [rng], T, config, config.warmup)
     if accepts[0] == 0:
         raise SamplerError("zero acceptance after warmup")
     chain = keep[0]
@@ -400,57 +460,77 @@ class RwmSimplexFamily:
         block = config.retained if config.retained is not None else M * config.thin
         if block < M * config.thin:
             raise ValueError("retained must cover M * thin iterations")
-        B = len(datas)
         ys = np.asarray(datas, dtype=float)
+        norm = _multinomial_norm(ys)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = self._thinned_chains(ys, norm, M, list(streams), config, block)
+            done = [b for b, o in enumerate(out) if not isinstance(o, SamplerError)]
+            if done:
+                # one kernel call maps the picks of every chain to the simplex
+                _, xs = _log_posterior_batch(
+                    self.variant,
+                    np.concatenate([out[b] for b in done]),
+                    np.repeat(ys[done], M, axis=0),
+                    np.repeat(norm[done], M),
+                )
+                xs = np.ascontiguousarray(xs)
+                for j, b in enumerate(done):
+                    out[b] = xs[j * M : (j + 1) * M]
+        return out
 
-        def batch_for(rows: np.ndarray):
+    def _thinned_chains(self, ys, norm, M, streams, config, block):
+        """Per chain, M draws on the unconstrained scale or a SamplerError.
+
+        Each chain's kept iterations stay in the blocks they were run in
+        (``segments``) and are joined only for one chain at a time, so a
+        group holds its base block plus the extension blocks, never a
+        second copy of them.
+        """
+        B = ys.shape[0]
+
+        def batch_for(rows: np.ndarray, row_norm: np.ndarray):
             def batch(zs: np.ndarray) -> np.ndarray:
-                lp, _ = _log_posterior_batch(self.variant, zs, rows)
+                lp, _ = _log_posterior_batch(self.variant, zs, rows, row_norm)
                 return lp
 
             return batch
 
         z0 = np.zeros((B, self.dim))
-        state = _ChainState(z0, batch_for(ys)(z0), config.init_step)
-        T0 = config.warmup + block
-        normals = np.empty((B, T0, self.dim))
-        uniforms = np.empty((B, T0))
-        for b, rng in enumerate(streams):
-            normals[b] = rng.standard_normal((T0, self.dim))
-            uniforms[b] = rng.uniform(size=T0)
+        state = _ChainState(z0, batch_for(ys, norm)(z0), config.init_step)
         keep, accepts = _metropolis_block(
-            batch_for(ys), state, normals, uniforms, config, config.warmup
+            batch_for(ys, norm), state, streams, config.warmup + block, config, config.warmup
         )
-        chains = [keep[b] for b in range(B)]
+        segments = [[row] for row in keep]
+
+        def chain(b: int) -> np.ndarray:
+            return segments[b][0] if len(segments[b]) == 1 else np.concatenate(segments[b])
+
         failed: dict[int, SamplerError] = {}
         for b in range(B):
             if accepts[b] == 0:
                 failed[b] = SamplerError("zero acceptance after warmup")
         pending = [
-            b for b in range(B) if b not in failed and self._ess_min(chains[b]) < self.min_ess
+            b for b in range(B) if b not in failed and self._ess_min(chain(b)) < self.min_ess
         ]
         for _ in range(self.max_extensions):
             if not pending:
                 break
             idx = np.asarray(pending)
-            ext_normals = np.empty((idx.size, block, self.dim))
-            ext_uniforms = np.empty((idx.size, block))
-            for j, b in enumerate(idx):
-                ext_normals[j] = streams[b].standard_normal((block, self.dim))
-                ext_uniforms[j] = streams[b].uniform(size=block)
             sub = state.select(idx)
             kept, acc = _metropolis_block(
-                batch_for(ys[idx]), sub, ext_normals, ext_uniforms, config, warmup=0
+                batch_for(ys[idx], norm[idx]),
+                sub,
+                [streams[b] for b in pending],
+                block,
+                config,
+                warmup=0,
             )
             state.z[idx] = sub.z
             state.lp[idx] = sub.lp
-            still = []
-            for j, b in enumerate(idx):
-                chains[b] = np.concatenate([chains[b], kept[j]], axis=0)
+            for j, b in enumerate(pending):
+                segments[b].append(kept[j])
                 accepts[b] += acc[j]
-                if self._ess_min(chains[b]) < self.min_ess:
-                    still.append(b)
-            pending = still
+            pending = [b for b in pending if self._ess_min(chain(b)) < self.min_ess]
         for b in pending:
             failed[b] = SamplerError(
                 f"min ESS below {self.min_ess:g} after {self.max_extensions} chain extensions"
@@ -460,11 +540,10 @@ class RwmSimplexFamily:
             if b in failed:
                 out.append(failed[b])
                 continue
-            chain = chains[b]
-            stride = chain.shape[0] // M
-            picks = chain[stride - 1 :: stride][:M]
-            _, xs = _log_posterior_batch(self.variant, picks, np.tile(ys[b], (M, 1)))
-            out.append(xs)
+            kept_chain = chain(b)
+            stride = kept_chain.shape[0] // M
+            # a copy, so that the group's kept chains are freed on return
+            out.append(kept_chain[stride - 1 :: stride][:M].copy())
         return out
 
 

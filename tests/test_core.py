@@ -151,6 +151,25 @@ class _FlakyFamily(_ToyFamily):
         return super().sample(data, M, rng, thin)
 
 
+class _PickyBatchedFamily(_ToyBatchedFamily):
+    """Raises a non-SamplerError for large data, so any group holding one fails."""
+
+    name = "toy-picky"
+
+    def sample(self, data, M, rng, thin):
+        if data > 1.5:
+            raise KeyError(f"no fit for {data:.3f}")
+        return super().sample(data, M, rng, thin)
+
+
+class _MisshapenBatchedFamily(_ToyBatchedFamily):
+    name = "toy-misshapen"
+
+    def sample(self, data, M, rng, thin):
+        draws = super().sample(data, M, rng, thin)
+        return draws[:-1] if data > 1.5 else draws
+
+
 _QS = [Quantity("theta", lambda draws, data: draws[:, 0])]
 
 
@@ -178,6 +197,21 @@ class TestRunSbc:
         assert all(rec.sim_index not in failed for rec in run.records)
         # ranks only from surviving simulations
         assert run.ranks("theta").size == len(run.records)
+
+    @pytest.mark.parametrize("family", [_PickyBatchedFamily(), _MisshapenBatchedFamily()])
+    @pytest.mark.parametrize("n_jobs", [1, 3])
+    def test_batched_failures_cost_one_simulation(self, family, n_jobs):
+        reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=40, M=9, seed=12)
+        run = run_sbc(_ToyGenerator(), family, _QS, S=40, M=9, seed=12, n_jobs=n_jobs)
+        bad = [rec.sim_index for rec in reference.records if rec.data > 1.5]
+        assert 0 < len(bad) < 40
+        assert [i for i, _ in run.failures] == bad
+        expected_type = "KeyError" if isinstance(family, _PickyBatchedFamily) else "ValueError"
+        assert all(message.startswith(expected_type + ": ") for _, message in run.failures)
+        ranks = {rec.sim_index: row[0].rank for rec, row in reference.results()}
+        assert [row[0].rank for row in run.rank_rows] == [
+            ranks[rec.sim_index] for rec in run.records
+        ]
 
     def test_correct_toy_posterior_rank_moments(self):
         run = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=3000, M=9, seed=7)

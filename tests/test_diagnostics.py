@@ -264,6 +264,29 @@ class TestEcdfBand:
         )
         assert abs(inside / trials - 0.95) < 0.03
 
+    def test_band_pinned_at_s1000_m100(self):
+        # reusing the coverage of repeated bounds must keep every bisection step
+        band = ecdf_band(1000, 100)
+        assert band.pointwise_level == 0.0025864964991727905
+        assert band.lower.tolist() == [
+            2, 8, 15, 22, 30, 38, 46, 55, 63, 72, 80, 89, 98, 107, 116, 125, 134, 143, 152,
+            161, 170, 179, 189, 198, 207, 216, 226, 235, 245, 254, 264, 273, 283, 292, 302,
+            311, 321, 330, 340, 350, 359, 369, 379, 389, 398, 408, 418, 428, 438, 447, 457,
+            467, 477, 487, 497, 507, 517, 527, 537, 547, 557, 567, 577, 587, 598, 608, 618,
+            628, 638, 649, 659, 669, 680, 690, 700, 711, 721, 732, 742, 753, 763, 774, 784,
+            795, 806, 817, 828, 838, 849, 860, 871, 883, 894, 905, 917, 929, 941, 953, 966,
+            979, 1000,
+        ]  # fmt: skip
+        assert band.upper.tolist() == [
+            21, 34, 47, 59, 71, 83, 95, 106, 117, 128, 140, 151, 162, 172, 183, 194, 205, 216,
+            226, 237, 247, 258, 268, 279, 289, 300, 310, 320, 331, 341, 351, 362, 372, 382,
+            392, 402, 413, 423, 433, 443, 453, 463, 473, 483, 493, 503, 513, 523, 533, 543,
+            553, 562, 572, 582, 592, 602, 611, 621, 631, 641, 650, 660, 670, 679, 689, 698,
+            708, 717, 727, 736, 746, 755, 765, 774, 784, 793, 802, 811, 821, 830, 839, 848,
+            857, 866, 875, 884, 893, 902, 911, 920, 928, 937, 945, 954, 962, 970, 978, 985,
+            992, 998, 1000,
+        ]  # fmt: skip
+
     def test_bad_coverage_rejected(self):
         with pytest.raises(ValueError):
             ecdf_band(10, 5, coverage=1.0)

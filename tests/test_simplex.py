@@ -181,6 +181,44 @@ class TestRwmSampler:
         with pytest.raises(sx.SamplerError):
             sx.rwm_sample(target, 2, sx.RwmConfig(warmup=100, thin=1), stream(10, 0), M=50)
 
+    def test_blocked_noise_matches_one_shot_draws(self):
+        # Frozen kernel (warmup=0, identity proposal): the reference draws each
+        # chain's T x dim normals and then its T uniforms in one call each, and
+        # a second block continues from where the first left the stream.
+        def target(zs):
+            return -0.5 * (zs * zs).sum(axis=1)
+
+        B, dim, lengths = 3, 2, (2 * sx._NOISE_BLOCK + 37, sx._NOISE_BLOCK + 5)
+        config = sx.RwmConfig(warmup=100, thin=1)
+        z0 = np.zeros((B, dim))
+        state = sx._ChainState(z0, target(z0), config.init_step)
+        streams = [stream(40, i) for i in range(B)]
+        blocked = [sx._metropolis_block(target, state, streams, T, config, 0)[0] for T in lengths]
+
+        ref_streams = [stream(40, i) for i in range(B)]
+        z, lp = z0.copy(), target(z0)
+        step = np.exp(np.full(B, np.log(config.init_step)))[:, None]
+        for T, got in zip(lengths, blocked):
+            normals = np.stack([r.standard_normal((T, dim)) for r in ref_streams])
+            uniforms = np.stack([r.uniform(size=T) for r in ref_streams])
+            expected = np.empty((B, T, dim))
+            for t in range(T):
+                prop = z + step * normals[:, t]
+                lp_prop = target(prop)
+                take = uniforms[:, t] < np.exp(np.minimum(0.0, lp_prop - lp))
+                z = np.where(take[:, None], prop, z)
+                lp = np.where(take, lp_prop, lp)
+                expected[:, t] = z
+            np.testing.assert_array_equal(got, expected)
+
+    def test_cholesky_failure_is_per_chain(self):
+        good = np.array([[4.0, 2.0], [2.0, 3.0]])
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
+        previous = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        out = sx._cholesky_rows(previous, np.stack([good, bad]))
+        np.testing.assert_array_equal(out[0], np.linalg.cholesky(good))
+        np.testing.assert_array_equal(out[1], previous[1])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sx.RwmConfig(warmup=10)
@@ -197,6 +235,32 @@ class TestBatchedFamily:
         all_at_once = fam.sample_batch(datas, 50, streams_a)
         one_alone = fam.sample(datas[3], 50, stream(12, 3))
         np.testing.assert_array_equal(all_at_once[3], one_alone)
+
+    def test_grouping_holds_through_extensions_and_noise_blocks(self, monkeypatch):
+        config = sx.RwmConfig(warmup=150, thin=3)
+        M = 40
+        T = config.warmup + M * config.thin
+        assert T > sx._NOISE_BLOCK and T % sx._NOISE_BLOCK != 0
+        fam = sx.RwmSimplexFamily("min", config=config, min_ess=40.0)
+        gen = sx.SimplexGenerator()
+        datas = [gen.generate(stream(31, i))[1] for i in range(6)]
+        group_sizes = []
+        original = sx._metropolis_block
+
+        def counting(log_density_batch, state, streams, *rest, **kwargs):
+            group_sizes.append(len(streams))
+            return original(log_density_batch, state, streams, *rest, **kwargs)
+
+        monkeypatch.setattr(sx, "_metropolis_block", counting)
+        grouped = fam.sample_batch(datas, M, [stream(32, i) for i in range(6)])
+        assert len(group_sizes) >= 3  # the base block and at least two extensions
+        assert any(isinstance(g, np.ndarray) for g in grouped)
+        for i in range(6):
+            alone = fam.sample_batch([datas[i]], M, [stream(32, i)])[0]
+            if isinstance(grouped[i], sx.SamplerError):
+                assert isinstance(alone, sx.SamplerError) and str(alone) == str(grouped[i])
+            else:
+                np.testing.assert_array_equal(grouped[i], alone)
 
     def test_ess_target_met_or_flagged(self):
         gen = sx.SimplexGenerator()
