@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-
+from typing import Any, Callable
 
 from .core import run_sbc
 from .diagnostics import RankSet, ecdf_band, evolution_table
@@ -33,48 +34,55 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _model_catalog() -> dict[str, dict[str, list[str]]]:
-    return {
-        "bernoulli": {
-            "variants": sorted(bernoulli.FAMILY_NAMES),
-            "quantities": sorted(q.name for q in bernoulli.quantity_library()),
-        },
-        "gaussian": {
-            "variants": sorted(gaussian.VARIANT_NAMES),
-            "quantities": sorted(
-                q.name for q in gaussian.quantity_library(3, gaussian.make_variant("correct", 3))
-            ),
-        },
-        "simplex": {
-            "variants": sorted(simplex.VARIANT_NAMES),
-            "quantities": sorted(q.name for q in simplex.quantity_library()),
-        },
-    }
+@dataclass(frozen=True)
+class _Model:
+    """How the CLI builds one model. The first variant is the reference one:
+    ``list`` shows the quantities of its library."""
+
+    generator: Callable[[int], Any]  # n -> data generator
+    variants: tuple[str, ...]
+    family: Callable[[str, int], Any]  # (variant, n) -> posterior family
+    quantities: Callable[[Any, int], list]  # (family, n) -> quantity library
+    thin: int  # default thinning stride
+
+
+MODELS = {
+    "bernoulli": _Model(
+        lambda n: bernoulli.BernoulliGenerator(),
+        bernoulli.FAMILY_NAMES,
+        lambda variant, n: bernoulli.FamilySampler(bernoulli.get_family(variant)),
+        lambda family, n: bernoulli.quantity_library(),
+        1,
+    ),
+    "gaussian": _Model(
+        gaussian.GaussianGenerator,
+        gaussian.VARIANT_NAMES,
+        gaussian.make_variant,
+        lambda family, n: gaussian.quantity_library(n, family),
+        1,
+    ),
+    "simplex": _Model(
+        lambda n: simplex.SimplexGenerator(),
+        simplex.VARIANT_NAMES,
+        lambda variant, n: simplex.RwmSimplexFamily(variant),
+        lambda family, n: simplex.quantity_library(),
+        20,
+    ),
+}
 
 
 def _build(model: str, variant: str, n: int):
     """Generator, family, full quantity library, and the default thin stride."""
-    if model == "gaussian":
-        if variant not in gaussian.VARIANT_NAMES:
-            raise UsageError(
-                f"unknown gaussian variant {variant!r}; valid: {', '.join(gaussian.VARIANT_NAMES)}"
-            )
-        family = gaussian.make_variant(variant, n)
-        return gaussian.GaussianGenerator(n), family, gaussian.quantity_library(n, family), 1
-    if model == "bernoulli":
-        if variant not in bernoulli.FAMILY_NAMES:
-            raise UsageError(
-                f"unknown bernoulli family {variant!r}; valid: {', '.join(bernoulli.FAMILY_NAMES)}"
-            )
-        family = bernoulli.FamilySampler(bernoulli.get_family(variant))
-        return bernoulli.BernoulliGenerator(), family, bernoulli.quantity_library(), 1
-    if model == "simplex":
-        if variant not in simplex.VARIANT_NAMES:
-            raise UsageError(
-                f"unknown simplex variant {variant!r}; valid: {', '.join(simplex.VARIANT_NAMES)}"
-            )
-        return simplex.SimplexGenerator(), simplex.RwmSimplexFamily(variant), simplex.quantity_library(), 20
-    raise UsageError(f"unknown model {model!r}; valid: bernoulli, gaussian, simplex")
+    spec = MODELS.get(model)
+    if spec is None:
+        raise UsageError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
+    if variant not in spec.variants:
+        raise UsageError(
+            f"unknown {model} variant {variant!r}; valid: {', '.join(spec.variants)}"
+        )
+    generator = spec.generator(n)
+    family = spec.family(variant, n)
+    return generator, family, spec.quantities(family, n), spec.thin
 
 
 _RUN_KEYS = (
@@ -206,11 +214,13 @@ def cmd_scan_discrete(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    catalog = _model_catalog()
-    for model in sorted(catalog):
+    for model in sorted(MODELS):
+        spec = MODELS[model]
+        reference = spec.family(spec.variants[0], _RUN_DEFAULTS["n"])
+        names = (q.name for q in spec.quantities(reference, _RUN_DEFAULTS["n"]))
         print(model)
-        print(f"  variants: {', '.join(catalog[model]['variants'])}")
-        print(f"  quantities: {', '.join(catalog[model]['quantities'])}")
+        print(f"  variants: {', '.join(sorted(spec.variants))}")
+        print(f"  quantities: {', '.join(sorted(names))}")
     return 0
 
 
@@ -219,7 +229,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one SBC experiment")
-    run_p.add_argument("--model", choices=("bernoulli", "gaussian", "simplex"))
+    run_p.add_argument("--model", choices=sorted(MODELS))
     run_p.add_argument("--variant")
     run_p.add_argument("--n", type=int, help="gaussian data points per simulation")
     run_p.add_argument("--sims", type=int, help="number of simulations S")
@@ -250,11 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        catalog = _model_catalog()
-        print(
-            "valid models: " + ", ".join(sorted(catalog)),
-            file=sys.stderr,
-        )
+        print("valid models: " + ", ".join(sorted(MODELS)), file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

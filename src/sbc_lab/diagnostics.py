@@ -12,13 +12,15 @@ All gamma arithmetic happens in log space through one kernel: one table of
 binomial tail minima per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank
 counts. The observed gamma, the null draws and every prefix of the evolution
 trace go through it, so a statistic that ties its threshold compares equal
-bit for bit.
+bit for bit. The simultaneous ECDF band is the acceptance region of that same
+test: the counts whose table entries clear the null quantile.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from typing import Any, Callable, Mapping
 
@@ -48,14 +50,13 @@ __all__ = [
     "chi_square_uniformity",
 ]
 
-# Seed of the dedicated stream namespace behind cached null quantiles and
-# bands. A constant (rather than the experiment seed) keeps report files
+# Seed of the dedicated stream namespace behind the cached null quantiles.
+# A constant (rather than the experiment seed) keeps report files
 # byte-reproducible and lets every run share one null table per (S, M).
 NULL_CALIBRATION_SEED = 0x5BC1AB
 
-# Stream ids under NULL_CALIBRATION_SEED: the band draw for (S, M) is
-# ((S << 21) ^ M) + 2**55, below 2**56 for any S < 2**34; the null draw for
-# (M, n_mc) is 2**63 + (M << 32) + n_mc, which no band id reaches.
+# Stream id under NULL_CALIBRATION_SEED of the null draw for (M, n_mc):
+# 2**63 + (M << 32) + n_mc.
 _NULL_STREAM = 1 << 63
 
 # Rows per calibration draw call: the draws hold O(_ROW_BLOCK * width) ranks
@@ -85,6 +86,10 @@ class RankSet:
     @classmethod
     def from_run(cls, run: SbcRun, quantity: str) -> "RankSet":
         return cls(ranks=run.ranks(quantity), max_rank=run.M)
+
+    def ecdf_counts(self) -> np.ndarray:
+        """R[i-1] = #{ranks < i} for i = 1..M+1."""
+        return _rank_counts(self.ranks[None, :], self.max_rank)[0]
 
 
 @dataclass(frozen=True)
@@ -162,16 +167,6 @@ def _log_gammas_for_matrix(ranks: np.ndarray, M: int) -> np.ndarray:
     return _log_gammas_from_counts(_rank_counts(ranks, M), ranks.shape[1], M)
 
 
-def _row_blocks(rng: np.random.Generator, n_rows: int, width: int, M: int):
-    """Rows of one ``rng.integers(0, M + 1, size=(n_rows, width))`` draw, in blocks.
-
-    Successive draws from one generator continue its sequence, so the blocks
-    stacked are bit for bit the one-shot draw.
-    """
-    for start in range(0, n_rows, _ROW_BLOCK):
-        yield rng.integers(0, M + 1, size=(min(_ROW_BLOCK, n_rows - start), width))
-
-
 def log_gamma_statistic(rank_set: RankSet) -> float:
     """Log of the gamma statistic, exact even when gamma underflows."""
     if rank_set.S < 1:
@@ -214,9 +209,12 @@ def _null_rows(n: int, M: int, n_mc: int):
     """First n rows of the calibration draw for (M, n_mc), in row blocks.
 
     Row s holds simulation s of each of the n_mc null replicates (columns).
+    Successive draws from one generator continue its sequence, so the blocks
+    stacked are bit for bit the one-shot ``integers(0, M + 1, size=(n, n_mc))``.
     """
     rng = stream(NULL_CALIBRATION_SEED, _NULL_STREAM + (M << 32) + n_mc)
-    yield from _row_blocks(rng, n, n_mc, M)
+    for start in range(0, n, _ROW_BLOCK):
+        yield rng.integers(0, M + 1, size=(min(_ROW_BLOCK, n - start), n_mc))
 
 
 def _prefix_nulls(lengths: list[int], M: int, n_mc: int):
@@ -347,7 +345,12 @@ def evolution_trace(
 
 @dataclass(frozen=True)
 class EcdfBand:
-    """Simultaneous bounds on rank ECDF counts at i = 1..M+1."""
+    """Simultaneous bounds on rank ECDF counts at i = 1..M+1.
+
+    The band is the acceptance region of the gamma test at level
+    1 - coverage: ``contains`` holds exactly when gamma does not reject.
+    ``pointwise_level`` is that test's threshold gamma_bar.
+    """
 
     S: int
     M: int
@@ -357,32 +360,21 @@ class EcdfBand:
     upper: np.ndarray
 
     def contains(self, rank_set: RankSet) -> bool:
-        R = _rank_counts(rank_set.ranks[None, :], self.M)[0]
+        R = rank_set.ecdf_counts()
         return bool(np.all(R >= self.lower) and np.all(R <= self.upper))
 
 
-def _pointwise_bounds(S: int, z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    lower = stats.binom.ppf(alpha / 2.0, S, z)
-    upper = stats.binom.ppf(1.0 - alpha / 2.0, S, z)
-    return np.clip(lower, 0, S).astype(int), np.clip(upper, 0, S).astype(int)
+def ecdf_band(S: int, M: int, coverage: float = 0.95, n_mc: int = 5000) -> EcdfBand:
+    """Simultaneous band for uniform rank ECDF counts: the gamma acceptance region.
 
-
-def ecdf_band(
-    S: int,
-    M: int,
-    coverage: float = 0.95,
-    n_mc: int = 5000,
-    rng: np.random.Generator | None = None,
-) -> EcdfBand:
-    """Simultaneous prediction band for uniform rank ECDF counts.
-
-    Bisects the pointwise binomial level alpha until the per-point intervals
-    jointly contain a uniform rank ECDF with probability ``coverage`` (under
-    the Monte-Carlo reference draws). Returns per-point count bounds.
+    Count k is inside at point i when log 2 + table[i, k] >= log gamma_bar,
+    with gamma_bar the cached null quantile at level 1 - coverage. Gamma is
+    log 2 plus the least table entry over the points, so a rank set lies in
+    the band exactly when gamma does not reject it at that level. Each table
+    row rises and then falls in k, so the counts inside form an interval.
     """
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must lie strictly between 0 and 1")
-    z = _z_points(M)
     if coverage >= 1.0 - 0.5 / n_mc:
         # beyond Monte-Carlo resolution only the sure box has the coverage
         return EcdfBand(
@@ -393,32 +385,18 @@ def ecdf_band(
             lower=np.zeros(M + 1, dtype=int),
             upper=np.full(M + 1, S, dtype=int),
         )
-    if rng is None:
-        rng = stream(NULL_CALIBRATION_SEED, ((S << 21) ^ M) + (1 << 55))
-    R = np.concatenate([_rank_counts(block, M) for block in _row_blocks(rng, n_mc, S, M)])
-    # Many bisection steps round to the same integer bounds; count each
-    # distinct pair against the draws once.
-    covered: dict[bytes, float] = {}
-
-    def joint_coverage(alpha: float) -> float:
-        lo, hi = _pointwise_bounds(S, z, alpha)
-        key = lo.tobytes() + hi.tobytes()
-        if key not in covered:
-            inside = np.all((R >= lo[None, :]) & (R <= hi[None, :]), axis=1)
-            covered[key] = float(inside.mean())
-        return covered[key]
-
-    lo_a, hi_a = 0.0, 1.0 - 1e-9  # alpha = 0 degenerates to the full box [0, S]
-    for _ in range(60):
-        mid = 0.5 * (lo_a + hi_a)
-        if joint_coverage(mid) >= coverage:
-            lo_a = mid  # wider alpha still covers; tighten the band
-        else:
-            hi_a = mid
-    alpha_star = lo_a
-    lower, upper = _pointwise_bounds(S, z, alpha_star)
+    # the decimal complement: coverage 0.95 reads the quantile at level 0.05,
+    # where 1.0 - 0.95 = 0.050000000000000044 can interpolate one ulp off it
+    level = float(1 - Decimal(repr(coverage)))
+    log_bar = log_gamma_null_quantile_cached(S, M, level, n_mc)
+    inside = _LOG2 + _cached_tables(S, M) >= log_bar
     return EcdfBand(
-        S=S, M=M, coverage=coverage, pointwise_level=alpha_star, lower=lower, upper=upper
+        S=S,
+        M=M,
+        coverage=coverage,
+        pointwise_level=float(np.exp(log_bar)),
+        lower=inside.argmax(axis=1),
+        upper=S - inside[:, ::-1].argmax(axis=1),
     )
 
 

@@ -50,6 +50,10 @@ class GaussianGenerator:
 
     n: int = 3
 
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+
     def generate(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         mu = _CHOL @ rng.standard_normal(2)
         y = mu[None, :] + rng.standard_normal((self.n, 2)) @ _CHOL.T

@@ -152,7 +152,7 @@ def svg_ecdf_difference(
     """Rank ECDF counts minus the uniform expectation, with a simultaneous band."""
     M, S = rank_set.max_rank, rank_set.S
     z = np.arange(1, M + 2) / (M + 1)
-    R = np.cumsum(np.bincount(rank_set.ranks, minlength=M + 1))
+    R = rank_set.ecdf_counts()  # the counts EcdfBand.contains tests
     expect = S * z
     dev = R - expect
     blo = band.lower - expect

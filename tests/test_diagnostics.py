@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sbc_lab.binomial import log_binom_tables
@@ -63,6 +65,15 @@ def exact_null_cdf(S, M, x, strict=False):
     return 1.0 - p.sum()
 
 
+def null_rows_and_tie(S, M):
+    """The (5000, S) null calibration replicates and the one whose gamma is nearest
+    the cached 5% quantile (at S=90, M=100 it is the quantile itself)."""
+    null_ranks = np.concatenate(list(_null_rows(S, M, 5000))).T
+    log_bar = log_gamma_null_quantile_cached(S, M)
+    log_gammas = np.array([log_gamma_statistic(RankSet(r, M)) for r in null_ranks])
+    return null_ranks, null_ranks[np.argmin(np.abs(log_gammas - log_bar))]
+
+
 class TestGammaStatistic:
     def test_all_zero_ranks(self):
         # S=10, M=1: the i=1 point has R=10, z=1/2, upper tail 2^-10
@@ -91,6 +102,20 @@ class TestGammaStatistic:
     def test_extreme_case_stays_finite_in_log_space(self):
         lg = log_gamma_statistic(RankSet(np.zeros(2000, dtype=int), 100))
         assert np.isfinite(lg) and lg < -2000.0  # gamma itself would underflow
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda M: st.tuples(st.just(M), st.lists(st.integers(0, M), min_size=1, max_size=400))
+        )
+    )
+    def test_rank_reversal_invariance(self, case):
+        # r -> M - r reflects the ECDF; the binomial tails swap, so gamma stays
+        M, ranks = case
+        ranks = np.asarray(ranks)
+        a = log_gamma_statistic(RankSet(ranks, M))
+        b = log_gamma_statistic(RankSet(M - ranks, M))
+        assert abs(a - b) <= 1e-12
 
     def test_gamma_in_range(self):
         rng = np.random.default_rng(8)
@@ -150,10 +175,7 @@ class TestNullQuantile:
         # a null draw whose gamma is the 5% quantile itself must not reject:
         # the statistic and the threshold come from the same kernel
         S, M = 90, 100
-        null_ranks = np.concatenate(list(_null_rows(S, M, 5000))).T
-        log_bar = log_gamma_null_quantile_cached(S, M)
-        log_gammas = np.array([log_gamma_statistic(RankSet(r, M)) for r in null_ranks])
-        row = null_ranks[np.argmin(np.abs(log_gammas - log_bar))]
+        _, row = null_rows_and_tie(S, M)
         res = gamma_result(RankSet(row, M))
         assert res.log_ratio == 0.0
         assert not res.rejects
@@ -265,27 +287,58 @@ class TestEcdfBand:
         assert abs(inside / trials - 0.95) < 0.03
 
     def test_band_pinned_at_s1000_m100(self):
-        # reusing the coverage of repeated bounds must keep every bisection step
+        # the band is the acceptance region of the 5% gamma test at the CLI's
+        # default size: its level is the report's gamma_bar
         band = ecdf_band(1000, 100)
-        assert band.pointwise_level == 0.0025864964991727905
+        ranks = stream(3, 3).integers(0, 101, size=1000)
+        assert band.pointwise_level == gamma_result(RankSet(ranks, 100)).gamma_bar
+        assert band.pointwise_level == 0.0028254968713009557
         assert band.lower.tolist() == [
-            2, 8, 15, 22, 30, 38, 46, 55, 63, 72, 80, 89, 98, 107, 116, 125, 134, 143, 152,
-            161, 170, 179, 189, 198, 207, 216, 226, 235, 245, 254, 264, 273, 283, 292, 302,
-            311, 321, 330, 340, 350, 359, 369, 379, 389, 398, 408, 418, 428, 438, 447, 457,
-            467, 477, 487, 497, 507, 517, 527, 537, 547, 557, 567, 577, 587, 598, 608, 618,
-            628, 638, 649, 659, 669, 680, 690, 700, 711, 721, 732, 742, 753, 763, 774, 784,
-            795, 806, 817, 828, 838, 849, 860, 871, 883, 894, 905, 917, 929, 941, 953, 966,
-            979, 1000,
+            2, 8, 15, 22, 30, 38, 47, 55, 63, 72, 81, 89, 98, 107, 116, 125, 134, 143, 152,
+            161, 170, 180, 189, 198, 207, 217, 226, 236, 245, 254, 264, 273, 283, 292, 302,
+            312, 321, 331, 340, 350, 360, 370, 379, 389, 399, 409, 418, 428, 438, 448, 458,
+            468, 478, 487, 497, 507, 517, 527, 537, 547, 558, 568, 578, 588, 598, 608, 618,
+            629, 639, 649, 659, 670, 680, 690, 701, 711, 722, 732, 742, 753, 764, 774, 785,
+            796, 806, 817, 828, 839, 850, 861, 872, 883, 894, 906, 917, 929, 941, 953, 966,
+            980, 1000,
         ]  # fmt: skip
         assert band.upper.tolist() == [
-            21, 34, 47, 59, 71, 83, 95, 106, 117, 128, 140, 151, 162, 172, 183, 194, 205, 216,
-            226, 237, 247, 258, 268, 279, 289, 300, 310, 320, 331, 341, 351, 362, 372, 382,
-            392, 402, 413, 423, 433, 443, 453, 463, 473, 483, 493, 503, 513, 523, 533, 543,
-            553, 562, 572, 582, 592, 602, 611, 621, 631, 641, 650, 660, 670, 679, 689, 698,
-            708, 717, 727, 736, 746, 755, 765, 774, 784, 793, 802, 811, 821, 830, 839, 848,
-            857, 866, 875, 884, 893, 902, 911, 920, 928, 937, 945, 954, 962, 970, 978, 985,
+            20, 34, 47, 59, 71, 83, 94, 106, 117, 128, 139, 150, 161, 172, 183, 194, 204, 215,
+            226, 236, 247, 258, 268, 278, 289, 299, 310, 320, 330, 341, 351, 361, 371, 382,
+            392, 402, 412, 422, 432, 442, 453, 463, 473, 483, 493, 503, 513, 522, 532, 542,
+            552, 562, 572, 582, 591, 601, 611, 621, 630, 640, 650, 660, 669, 679, 688, 698,
+            708, 717, 727, 736, 746, 755, 764, 774, 783, 793, 802, 811, 820, 830, 839, 848,
+            857, 866, 875, 884, 893, 902, 911, 919, 928, 937, 945, 953, 962, 970, 978, 985,
             992, 998, 1000,
         ]  # fmt: skip
+
+    def test_band_is_the_gamma_acceptance_region(self):
+        # band.contains and the 5% gamma verdict agree on every rank set:
+        # uniform and skewed sets, null calibration rows, and a tie at the threshold
+        rng = stream(61, 0)
+        cases = []
+        for S, M, n in ((1000, 100, 1500), (200, 20, 800), (57, 9, 800)):
+            for _ in range(n):
+                cases.append((rng.integers(0, M + 1, size=S), M))
+            for a in (0.85, 0.95, 1.1):
+                for _ in range(n // 10):
+                    skewed = ((M + 1) * rng.beta(a, 1.0, size=S)).astype(int)
+                    cases.append((np.minimum(skewed, M), M))
+        null_ranks, tie = null_rows_and_tie(90, 100)
+        assert gamma_result(RankSet(tie, 100)).log_ratio == 0.0
+        cases += [(row, 100) for row in null_ranks[:2000]] + [(tie, 100)]
+        bands = {}
+        disagree = rejected = 0
+        for ranks, M in cases:
+            rank_set = RankSet(ranks, M)
+            key = (rank_set.S, M)
+            if key not in bands:
+                bands[key] = ecdf_band(*key)
+            rejects = gamma_result(rank_set).rejects
+            rejected += rejects
+            disagree += bands[key].contains(rank_set) == rejects
+        assert rejected > 200  # the boundary is exercised from both sides
+        assert disagree == 0
 
     def test_bad_coverage_rejected(self):
         with pytest.raises(ValueError):

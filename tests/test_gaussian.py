@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sbc_lab.cli import main
 from sbc_lab.core import run_sbc
 from sbc_lab.diagnostics import RankSet, chi_square_uniformity, evolution_table
 from sbc_lab.models import gaussian
@@ -26,6 +27,16 @@ class TestGenerator:
         expected = gaussian.SIGMA * (1.0 + 1.0 / n)
         observed = np.cov(ybars.T)
         np.testing.assert_allclose(observed, expected, rtol=0.03)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_data_points_rejected(self, n, tmp_path, capsys):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            gaussian.GaussianGenerator(n=n)
+        out = tmp_path / "out"
+        argv = ["run", "--model", "gaussian", "--n", str(n), "--sims", "20", "--out", str(out)]
+        assert main(argv) == 1
+        assert "n must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVariantSamplers:
