@@ -6,7 +6,6 @@ from .core import (
     RankStatistic,
     SamplerError,
     SbcRun,
-    SimulationRecord,
     TestQuantity,
     compute_rank,
     ess,
@@ -33,7 +32,6 @@ from .diagnostics import (
 __all__ = [
     "TestQuantity",
     "RankStatistic",
-    "SimulationRecord",
     "SbcRun",
     "SamplerError",
     "InvalidQuantityError",

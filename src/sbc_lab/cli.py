@@ -171,8 +171,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = build_report(run, metadata=metadata)
     write_report_json(report, out_dir / "report.json")
 
-    names = [q.name for q in quantities if q.name in run.quantity_names()]
-    traces = evolution_table({q: run.ranks(q) for q in names}, M, step=int(settings["step"]))
+    for name in dict.fromkeys(q for _, q, _ in run.quantity_errors):
+        messages = [m for _, q, m in run.quantity_errors if q == name]
+        warning = f"quantity {name} failed in {len(messages)} simulations; first: {messages[0]}"
+        print(f"warning: {warning}", file=sys.stderr)
+    # the report keeps a quantity that failed in some simulations, but the
+    # evolution trace needs the same prefixes for every quantity
+    names = run.quantity_names()
+    complete = [q for q in names if run.ranked(q).all()]
+    traces = evolution_table({q: run.ranks(q) for q in complete}, M, step=int(settings["step"]))
     write_evolution_csv(traces, out_dir / "evolution.csv")
 
     stamp = not bool(settings.get("no_timestamp"))

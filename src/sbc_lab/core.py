@@ -5,13 +5,14 @@ asks the posterior family under test for M draws, and reduces everything to
 one rank per test quantity: the number of posterior draws whose quantity
 value falls below the prior draw's value, with ties shared out uniformly at
 random. A calibrated sampler makes every rank uniform on {0..M}.
+
+A run keeps its ranks as one columnar table, one row per successful
+simulation and one column per quantity; it keeps no posterior draws.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -21,7 +22,6 @@ from .rng import generation_stream, posterior_stream, tiebreak_stream
 __all__ = [
     "TestQuantity",
     "RankStatistic",
-    "SimulationRecord",
     "SbcRun",
     "SamplerError",
     "InvalidQuantityError",
@@ -76,16 +76,25 @@ class RankStatistic:
             raise ValueError("n_less + n_equals cannot exceed the draw count")
 
 
-@dataclass(frozen=True)
-class SimulationRecord:
-    """One SBC simulation: prior draw, dataset, posterior draws, provenance."""
+def _rank_step(
+    prior_values: np.ndarray,
+    posterior_values: np.ndarray,
+    tie_rng: Callable[[], np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n_less, n_equals, k)`` of Q prior values (Q,) within their (Q, M) draws.
 
-    sim_index: int
-    prior_draw: np.ndarray
-    data: Any
-    posterior_draws: np.ndarray
-    variant_name: str
-    seed_info: tuple[int, int]
+    The tie shares come from one ``integers(0, n_equals + 1)`` call, which
+    gives the values and the stream state of Q scalar calls in order;
+    ``tie_rng`` is called only when some quantity ties, as a range of one
+    value draws nothing.
+    """
+    n_less = np.count_nonzero(posterior_values < prior_values[:, None], axis=1)
+    n_equals = np.count_nonzero(posterior_values == prior_values[:, None], axis=1)
+    if n_equals.any():
+        k = tie_rng().integers(0, n_equals + 1)
+    else:
+        k = np.zeros_like(n_equals)
+    return n_less, n_equals, k
 
 
 def compute_rank(
@@ -98,45 +107,48 @@ def compute_rank(
 
     ``n_less`` counts strictly smaller posterior values, ``n_equals`` counts
     exact ties, and the tie share ``k`` is drawn uniformly on {0..n_equals}
-    from ``rng``. Exactly one integer is drawn per call even when there are
-    no ties, so streams stay aligned across transformed quantities.
+    from ``rng``. Without ties nothing is drawn, so ``rng`` is left as it was.
     """
     values = np.asarray(posterior_values, dtype=float)
     if values.size == 0:
         raise ValueError("posterior_values must be non-empty")
     if np.isnan(prior_value) or np.isnan(values).any():
         raise InvalidQuantityError(f"NaN in rank inputs for quantity {quantity!r}")
-    n_less = int(np.count_nonzero(values < prior_value))
-    n_equals = int(np.count_nonzero(values == prior_value))
-    k = int(rng.integers(0, n_equals + 1))
+    n_less, n_equals, k = _rank_step(np.array([prior_value], float), values[None, :], lambda: rng)
     return RankStatistic(
         quantity=quantity,
-        n_less=n_less,
-        n_equals=n_equals,
-        k=k,
+        n_less=int(n_less[0]),
+        n_equals=int(n_equals[0]),
+        k=int(k[0]),
         max_rank=int(values.size),
     )
 
 
 def evaluate_quantities(
-    record: SimulationRecord, quantities: Sequence[TestQuantity]
+    prior_draw: np.ndarray,
+    posterior_draws: np.ndarray,
+    data: Any,
+    quantities: Sequence[TestQuantity],
 ) -> tuple[dict[str, tuple[float, np.ndarray]], dict[str, str]]:
     """Evaluate every quantity on the prior draw and on each posterior draw.
 
     Returns ``(values, errors)``: ``values[name] = (prior_value, posterior_values)``
-    with posterior order preserved; a failing evaluator lands in ``errors``
-    without affecting the other quantities.
+    with posterior order preserved; an evaluator that raises, returns the
+    wrong shape or returns NaN lands in ``errors`` without affecting the
+    other quantities.
     """
-    stacked = np.vstack([np.asarray(record.prior_draw, float)[None, :], record.posterior_draws])
+    stacked = np.vstack([np.asarray(prior_draw, float)[None, :], posterior_draws])
     values: dict[str, tuple[float, np.ndarray]] = {}
     errors: dict[str, str] = {}
     for q in quantities:
         try:
-            out = np.asarray(q.evaluator(stacked, record.data), dtype=float)
+            out = np.asarray(q.evaluator(stacked, data), dtype=float)
             if out.shape != (stacked.shape[0],):
                 raise InvalidQuantityError(
                     f"evaluator {q.name!r} returned shape {out.shape}, expected ({stacked.shape[0]},)"
                 )
+            if np.isnan(out).any():
+                raise InvalidQuantityError(f"NaN in rank inputs for quantity {q.name!r}")
             values[q.name] = (float(out[0]), out[1:])
         except Exception as exc:  # noqa: BLE001 - per-quantity isolation is the contract
             errors[q.name] = f"{type(exc).__name__}: {exc}"
@@ -145,49 +157,45 @@ def evaluate_quantities(
 
 @dataclass
 class SbcRun:
-    """Outcome of an SBC experiment: records, ranks, and failure bookkeeping."""
+    """Outcome of an SBC experiment: a columnar rank table and failure bookkeeping.
+
+    Row r of ``n_less``, ``n_equals`` and ``rank`` (each (n_ok, Q) integers,
+    columns in the order of ``quantities``) belongs to simulation
+    ``sim_index[r]`` with dataset ``data[r]``. ``evaluated`` is False where
+    that quantity failed in that simulation (see ``quantity_errors``); those
+    cells hold 0. Every rank lies in {0..M}.
+    """
 
     variant_name: str
     S: int
     M: int
     seed: int
     thin_stride: int
-    records: list[SimulationRecord] = field(default_factory=list)
-    rank_rows: list[list[RankStatistic]] = field(default_factory=list)
-    failures: list[tuple[int, str]] = field(default_factory=list)
-    quantity_errors: list[tuple[int, str, str]] = field(default_factory=list)
+    quantities: list[str]
+    sim_index: np.ndarray
+    data: list[Any]
+    n_less: np.ndarray
+    n_equals: np.ndarray
+    rank: np.ndarray
+    evaluated: np.ndarray
+    failures: list[tuple[int, str]]
+    quantity_errors: list[tuple[int, str, str]]
 
     @property
     def n_failed(self) -> int:
         return len(self.failures)
 
     def quantity_names(self) -> list[str]:
-        names: list[str] = []
-        for row in self.rank_rows:
-            for stat in row:
-                if stat.quantity not in names:
-                    names.append(stat.quantity)
-        return names
+        """Quantities ranked in at least one simulation, in library order."""
+        return [q for q, ok in zip(self.quantities, self.evaluated.any(axis=0)) if ok]
+
+    def ranked(self, quantity: str) -> np.ndarray:
+        """Boolean mask over the rows: where ``quantity`` has a rank."""
+        return self.evaluated[:, self.quantities.index(quantity)]
 
     def ranks(self, quantity: str) -> np.ndarray:
         """Ranks of one quantity across successful simulations, by sim index."""
-        out = [s.rank for row in self.rank_rows for s in row if s.quantity == quantity]
-        return np.asarray(out, dtype=int)
-
-    def results(self) -> list[tuple[SimulationRecord, list[RankStatistic]]]:
-        return list(zip(self.records, self.rank_rows))
-
-
-def _resolve_jobs(n_jobs: int | None) -> int:
-    if n_jobs is not None:
-        return max(1, int(n_jobs))
-    env = os.environ.get("SBC_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+        return self.rank[self.ranked(quantity), self.quantities.index(quantity)]
 
 
 # Memory budget for the kept chains of one lockstep group of a batched
@@ -217,30 +225,25 @@ def run_sbc(
     M: int,
     seed: int,
     thin_stride: int = 1,
-    n_jobs: int | None = None,
 ) -> SbcRun:
-    """Run S independent SBC simulations against one posterior family.
+    """Run S independent SBC simulations against one posterior family, serially.
 
-    Simulation ``i`` consumes three dedicated streams derived from ``seed``
-    (generation, posterior sampling, tie-breaking), so the output is bitwise
-    identical for a fixed seed regardless of thread count or schedule.
-    A family with ``sample_batch`` samples simulations in lockstep groups
-    sized by ``_LOCKSTEP_BYTES``; a group whose call raises is rerun one
-    simulation at a time through ``sample``. Simulations whose sampling
-    raises (:class:`SamplerError` or anything else) or returns draws of the
-    wrong shape are excluded from the rank table and listed in ``failures``
-    with the exception type and message.
+    Simulation ``i`` consumes up to three dedicated streams derived from
+    ``seed`` (generation, posterior sampling, and tie-breaking, opened only
+    when some quantity ties), so the output is bitwise identical for a fixed
+    seed whatever the grouping. A family with ``sample_batch`` samples
+    simulations in lockstep groups sized by ``_LOCKSTEP_BYTES``; a group
+    whose call raises is rerun one simulation at a time through ``sample``.
+    Simulations whose sampling raises (:class:`SamplerError` or anything
+    else) or returns draws of the wrong shape are left out of the rank table
+    and listed in ``failures`` with the exception type and message. Each
+    simulation's Q quantities are ranked in one vectorised step; a quantity
+    that raises, has the wrong shape or gives NaN is left unranked in that
+    simulation and listed in ``quantity_errors``.
     """
     if S < 1 or M < 1 or thin_stride < 1:
         raise ValueError("S, M and thin_stride must all be >= 1")
-    run = SbcRun(
-        variant_name=getattr(posterior_family, "name", type(posterior_family).__name__),
-        S=S,
-        M=M,
-        seed=seed,
-        thin_stride=thin_stride,
-    )
-
+    names = [q.name for q in quantities]
     priors: list[np.ndarray] = []
     datasets: list[Any] = []
     for i in range(S):
@@ -254,16 +257,11 @@ def run_sbc(
         except Exception as exc:  # noqa: BLE001 - one failing simulation must not end the run
             return exc
 
-    jobs = _resolve_jobs(n_jobs)
     if hasattr(posterior_family, "sample_batch"):
-        # lockstep groups as large as the kept-chain budget allows, and at
-        # least one group per worker thread
-        chain_bytes = 8 * M * thin_stride * priors[0].size
-        chunk = min(max(1, _LOCKSTEP_BYTES // chain_bytes), -(-S // jobs))
-        spans = [(lo, min(lo + chunk, S)) for lo in range(0, S, chunk)]
-
-        def _run_span(span: tuple[int, int]) -> list[Any]:
-            lo, hi = span
+        chunk = max(1, _LOCKSTEP_BYTES // (8 * M * thin_stride * priors[0].size))
+        draws: list[Any] = []
+        for lo in range(0, S, chunk):
+            hi = min(lo + chunk, S)
             streams = [posterior_stream(seed, i) for i in range(lo, hi)]
             try:
                 out = list(posterior_family.sample_batch(datasets[lo:hi], M, streams, thin_stride))
@@ -273,44 +271,41 @@ def run_sbc(
                 # each simulation owns its stream, so the rerun isolates the failure
                 # and gives the other simulations their results from the group
                 out = [_sample_one(i) for i in range(lo, hi)]
-            return out
-
-        if jobs > 1 and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                draws = [d for out in pool.map(_run_span, spans) for d in out]
-        else:
-            draws = [d for span in spans for d in _run_span(span)]
-    elif jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            draws = list(pool.map(_sample_one, range(S)))
+            draws.extend(out)
     else:
         draws = [_sample_one(i) for i in range(S)]
 
-    for i in range(S):
-        got = _checked_draws(draws[i], (M, priors[i].size))
-        if isinstance(got, Exception):
-            run.failures.append((i, f"{type(got).__name__}: {got}"))
-            continue
-        record = SimulationRecord(
-            sim_index=i,
-            prior_draw=priors[i],
-            data=datasets[i],
-            posterior_draws=got,
-            variant_name=run.variant_name,
-            seed_info=(seed, i),
-        )
-        values, errors = evaluate_quantities(record, quantities)
-        for name, message in errors.items():
-            run.quantity_errors.append((i, name, message))
-        tie_rng = tiebreak_stream(seed, i)
-        row = []
-        for q in quantities:
-            if q.name not in values:
-                continue
-            prior_value, post_values = values[q.name]
-            row.append(compute_rank(prior_value, post_values, tie_rng, quantity=q.name))
-        run.records.append(record)
-        run.rank_rows.append(row)
+    checked = [_checked_draws(got, (M, theta.size)) for got, theta in zip(draws, priors)]
+    failed = [(i, got) for i, got in enumerate(checked) if isinstance(got, Exception)]
+    ok = [i for i, got in enumerate(checked) if not isinstance(got, Exception)]
+    shape = (len(ok), len(names))
+    run = SbcRun(
+        variant_name=getattr(posterior_family, "name", type(posterior_family).__name__),
+        S=S,
+        M=M,
+        seed=seed,
+        thin_stride=thin_stride,
+        quantities=names,
+        sim_index=np.asarray(ok, dtype=int),
+        data=[datasets[i] for i in ok],
+        n_less=np.zeros(shape, dtype=int),
+        n_equals=np.zeros(shape, dtype=int),
+        rank=np.zeros(shape, dtype=int),
+        evaluated=np.zeros(shape, dtype=bool),
+        failures=[(i, f"{type(exc).__name__}: {exc}") for i, exc in failed],
+        quantity_errors=[],
+    )
+    for row, i in enumerate(ok):
+        values, errors = evaluate_quantities(priors[i], checked[i], datasets[i], quantities)
+        run.quantity_errors.extend((i, name, message) for name, message in errors.items())
+        cols = [j for j, name in enumerate(names) if name in values]
+        if cols:
+            prior = np.array([values[names[j]][0] for j in cols])
+            post = np.stack([values[names[j]][1] for j in cols])
+            n_less, n_equals, k = _rank_step(prior, post, lambda: tiebreak_stream(seed, i))
+            run.n_less[row, cols], run.n_equals[row, cols] = n_less, n_equals
+            run.rank[row, cols] = n_less + k
+            run.evaluated[row, cols] = True
     return run
 
 

@@ -409,17 +409,9 @@ def split_ranks(
     part may be empty; gamma and chi-square evaluation then must be skipped
     for that part by the caller.
     """
-    hit: list[int] = []
-    miss: list[int] = []
-    for record, row in run.results():
-        side = hit if predicate(record.data) else miss
-        for stat in row:
-            if stat.quantity == quantity:
-                side.append(stat.rank)
-    return (
-        RankSet(ranks=np.asarray(hit, dtype=int), max_rank=run.M),
-        RankSet(ranks=np.asarray(miss, dtype=int), max_rank=run.M),
-    )
+    hit = np.array([bool(predicate(data)) for data in run.data], dtype=bool)[run.ranked(quantity)]
+    ranks = run.ranks(quantity)
+    return RankSet(ranks=ranks[hit], max_rank=run.M), RankSet(ranks=ranks[~hit], max_rank=run.M)
 
 
 @dataclass(frozen=True)

@@ -242,8 +242,10 @@ def quantity_library(n: int, variant=None) -> list[TestQuantity]:
         TestQuantity("diff", lambda d, y: d[:, 0] - d[:, 1]),
         TestQuantity("product", lambda d, y: d[:, 0] * d[:, 1]),
         TestQuantity("mvn_log_lik", _joint_log_lik),
-        TestQuantity("mvn_log_lik[1]", lambda d, y: _pointwise_log_lik(d, y[0])),
-        TestQuantity("mvn_log_lik[2]", lambda d, y: _pointwise_log_lik(d, y[1])),
+        *(  # pointwise log-likelihoods of the first two data points that exist
+            TestQuantity(f"mvn_log_lik[{k + 1}]", lambda d, y, k=k: _pointwise_log_lik(d, y[k]))
+            for k in range(min(n, 2))
+        ),
         TestQuantity("abs_mu1", lambda d, y: np.abs(d[:, 0])),
         TestQuantity("drop_mu1", lambda d, y: np.where(d[:, 0] < 1.0, d[:, 0], d[:, 0] - 5.0)),
     ]

@@ -8,9 +8,9 @@ ordered vector whose published Jacobian determinant carries a deliberate
 off-by-one error in the exponent ("softmax-bad", with "softmax-fixed" the
 corrected version), and normalization of a positive ordered gamma vector
 ("gamma", no Jacobian needed). Sampling is done with an adaptive
-random-walk Metropolis sampler run in parallel across simulations; an exact
-rejection sampler for the ordered Dirichlet posterior provides an MCMC-free
-cross-check.
+random-walk Metropolis sampler that advances a group of simulations' chains
+in lockstep, one vectorised step per iteration; an exact rejection sampler
+for the ordered Dirichlet posterior provides an MCMC-free cross-check.
 """
 
 from __future__ import annotations

@@ -39,18 +39,15 @@ def write_ranks_csv(run: SbcRun, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RANKS_HEADER)
-        for record, row in run.results():
-            for stat in row:
-                writer.writerow(
-                    [
-                        record.sim_index,
-                        stat.quantity,
-                        stat.rank,
-                        stat.max_rank,
-                        stat.n_less,
-                        stat.n_equals,
-                    ]
-                )
+        rows, cols = np.nonzero(run.evaluated)  # by simulation, then quantity
+        for i, j, rank, n_less, n_equals in zip(
+            run.sim_index[rows].tolist(),
+            cols.tolist(),
+            run.rank[rows, cols].tolist(),
+            run.n_less[rows, cols].tolist(),
+            run.n_equals[rows, cols].tolist(),
+        ):
+            writer.writerow([i, run.quantities[j], rank, run.M, n_less, n_equals])
 
 
 def read_ranks_csv(path: str | Path) -> tuple[dict[str, np.ndarray], int]:

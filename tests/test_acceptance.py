@@ -305,9 +305,8 @@ def test_c08_density_ratio_completeness(prior_only_batch):
     family = gaussian.make_variant("correct", n)
     ratio_only = [q for q in gaussian.quantity_library(n, family) if q.name == "density_ratio"]
     run = run_sbc(gaussian.GaussianGenerator(n), family, ratio_only, S=2000, M=M, seed=31337)
-    all_tied = all(
-        stat.n_less == 0 and stat.n_equals == M for row in run.rank_rows for stat in row
-    )
+    ranked = run.evaluated
+    all_tied = bool(np.all(run.n_less[ranked] == 0) and np.all(run.n_equals[ranked] == M))
     chi2 = chi_square_uniformity(RankSet.from_run(run, "density_ratio"), n_bins=M + 1)
     ok = detect >= 0.90 and all_tied and chi2.p_value > 1e-3
     check(

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 
+from sbc_lab import cli
 from sbc_lab.cli import main
+from sbc_lab.core import TestQuantity as Quantity
 from sbc_lab.diagnostics import RankSet, chi_square_uniformity, default_chi2_bins, gamma_result
 from sbc_lab.reports import read_ranks_csv
 
@@ -116,6 +119,35 @@ class TestExitCodes:
         report = json.loads(read(out / "report.json"))
         entry = {e["quantity"]: e for e in report["quantities"]}["mvn_log_lik"]
         assert entry["log_ratio"] < 0.0
+
+    def test_quantity_failing_in_some_simulations(self, tmp_path, monkeypatch, capsys):
+        def flaky(draws, y):
+            if y[0, 0] >= 1.0:
+                raise ValueError("no value for this dataset")
+            return draws[:, 0]
+
+        spec = cli.MODELS["gaussian"]
+        with_flaky = lambda family, n: [*spec.quantities(family, n), Quantity("flaky", flaky)]
+        monkeypatch.setitem(cli.MODELS, "gaussian-flaky", dataclasses.replace(spec, quantities=with_flaky))
+        out = tmp_path / "out"
+        argv = ["--model", "gaussian-flaky", "--out", str(out), "--no-timestamp"]
+        assert run_cli(*BASE, *argv) in (0, 2)
+        ranks, max_rank = read_ranks_csv(out / "ranks.csv")
+        n_errors = 120 - ranks["flaky"].size
+        assert 0 < n_errors < 120 and ranks["mu[1]"].size == 120
+        err = capsys.readouterr().err
+        assert err == (
+            f"warning: quantity flaky failed in {n_errors} simulations; "
+            "first: ValueError: no value for this dataset\n"
+        )
+        report = json.loads(read(out / "report.json"))
+        assert report["quantity_errors"] == n_errors
+        entry = next(e for e in report["quantities"] if e["quantity"] == "flaky")
+        res = gamma_result(RankSet(ranks["flaky"], max_rank), quantity="flaky")
+        assert (entry["S"], entry["gamma"]) == (120 - n_errors, res.gamma)
+        traced = {row.split(",")[1] for row in read(out / "evolution.csv").splitlines()[1:]}
+        assert traced == set(ranks) - {"flaky"}
+        assert (out / "hist_flaky.svg").exists()
 
     def test_unknown_model_is_usage_error(self, capsys):
         assert run_cli("run", "--model", "nosuch") == 1

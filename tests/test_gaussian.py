@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -125,6 +127,21 @@ class TestQuantities:
         y = rng.standard_normal((3, 2))
         draws = rng.standard_normal((50, 2))
         np.testing.assert_array_equal(lib["density_ratio"].evaluator(draws, y), np.ones(50))
+
+    def test_pointwise_log_lik_only_for_existing_points(self, tmp_path, capsys):
+        def pointwise(n):
+            return [q.name for q in gaussian.quantity_library(n) if q.name.startswith("mvn_log_lik[")]
+
+        assert pointwise(1) == ["mvn_log_lik[1]"]
+        assert pointwise(2) == pointwise(3) == ["mvn_log_lik[1]", "mvn_log_lik[2]"]
+        out = tmp_path / "out"
+        argv = ["run", "--model", "gaussian", "--n", "1", "--sims", "50", "--draws", "20"]
+        assert main([*argv, "--out", str(out)]) in (0, 2)
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["quantity_errors"] == 0
+        names = [q.name for q in gaussian.quantity_library(1, gaussian.make_variant("correct", 1))]
+        assert [e["quantity"] for e in report["quantities"]] == names
 
     def test_density_ratio_absent_without_closed_form(self):
         fam = gaussian.make_variant("small-bias", n=3)
