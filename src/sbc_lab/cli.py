@@ -3,7 +3,8 @@
 ``run`` executes one experiment configuration and writes the rank table,
 uniformity report, evolution trace, and SVG figures into the output
 directory; the exit code is 0 when every quantity passes at the 5% level,
-2 when any fails, and 1 on configuration or execution errors. Flat JSON
+2 when any fails, and 1 on configuration or execution errors, including a
+run in which no quantity was ranked at all. Flat JSON
 config files mirror the flags; explicit flags win.
 """
 
@@ -181,9 +182,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     complete = [q for q in names if run.ranked(q).all()]
     traces = evolution_table({q: run.ranks(q) for q in complete}, M, step=int(settings["step"]))
     write_evolution_csv(traces, out_dir / "evolution.csv")
+    if not names:
+        print("error: no quantity was ranked in any simulation", file=sys.stderr)
+        return 1
 
     stamp = not bool(settings.get("no_timestamp"))
-    svg_evolution(traces, out_dir / "evolution.svg", title=f"{model}/{settings['variant']}", timestamp=stamp)
+    if traces:
+        svg_evolution(traces, out_dir / "evolution.svg", title=f"{model}/{settings['variant']}", timestamp=stamp)
+    else:
+        warning = "no quantity was ranked in every simulation; evolution.svg not written"
+        print(f"warning: {warning}", file=sys.stderr)
     band = None
     for name in names:
         rank_set = RankSet.from_run(run, name)

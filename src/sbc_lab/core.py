@@ -8,6 +8,12 @@ random. A calibrated sampler makes every rank uniform on {0..M}.
 
 A run keeps its ranks as one columnar table, one row per successful
 simulation and one column per quantity; it keeps no posterior draws.
+Quantities are evaluated and ranked one group of successful simulations at a
+time: the group's prior and posterior draws are stacked into one
+(g, M+1, dim) array, each quantity is evaluated once over the group through
+its ``batch`` form (or, without one, once per simulation through its
+``evaluator``), and the whole (g, Q, M) block is ranked at once. A single
+simulation goes through the same two steps as a group of one.
 """
 
 from __future__ import annotations
@@ -48,10 +54,18 @@ class TestQuantity:
     ``evaluator`` is vectorized over draws: it maps an (N, dim) array of
     parameter vectors plus the dataset to an (N,) array of values. Values of
     +/-inf are legal (they order and tie like any other value); NaN is not.
+
+    ``batch``, if given, evaluates a group of simulations at once: it maps a
+    (g, N, dim) array of draws plus the sequence of the g datasets to a
+    (g, N) array whose row r equals ``evaluator(draws[r], datasets[r])`` bit
+    for bit, so ranks never depend on the grouping. A batch call that raises
+    or returns another shape is not an error of its own: the group is then
+    evaluated one simulation at a time through ``evaluator``.
     """
 
     name: str
     evaluator: Callable[[np.ndarray, Any], np.ndarray]
+    batch: Callable[[np.ndarray, Sequence[Any]], np.ndarray] | None = None
 
     def __call__(self, theta: np.ndarray, data: Any) -> float:
         return float(self.evaluator(np.asarray(theta, float)[None, :], data)[0])
@@ -76,24 +90,26 @@ class RankStatistic:
             raise ValueError("n_less + n_equals cannot exceed the draw count")
 
 
-def _rank_step(
-    prior_values: np.ndarray,
-    posterior_values: np.ndarray,
-    tie_rng: Callable[[], np.random.Generator],
+def _rank_block(
+    values: np.ndarray, tie_rng: Callable[[int], np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(n_less, n_equals, k)`` of Q prior values (Q,) within their (Q, M) draws.
+    """``(n_less, n_equals, k)``, each (g, Q), of a (g, Q, M+1) block of values.
 
-    The tie shares come from one ``integers(0, n_equals + 1)`` call, which
-    gives the values and the stream state of Q scalar calls in order;
-    ``tie_rng`` is called only when some quantity ties, as a range of one
-    value draws nothing.
+    ``values[r, j, 0]`` is the prior value of quantity j in simulation r and
+    ``values[r, j, 1:]`` its M posterior values; a row of NaN (a failed
+    quantity) compares false with everything and counts 0. Simulation r's
+    tie shares come from one ``tie_rng(r).integers(0, n_equals + 1)`` call
+    over its evaluated quantities, which gives the values and the stream
+    state of one scalar call per quantity in order; ``tie_rng`` is called
+    only for a simulation with a tie, as a range of one value draws nothing.
     """
-    n_less = np.count_nonzero(posterior_values < prior_values[:, None], axis=1)
-    n_equals = np.count_nonzero(posterior_values == prior_values[:, None], axis=1)
-    if n_equals.any():
-        k = tie_rng().integers(0, n_equals + 1)
-    else:
-        k = np.zeros_like(n_equals)
+    prior = values[:, :, :1]
+    n_less = np.count_nonzero(values[:, :, 1:] < prior, axis=2)
+    n_equals = np.count_nonzero(values[:, :, 1:] == prior, axis=2)
+    k = np.zeros_like(n_equals)
+    for r in np.flatnonzero(n_equals.any(axis=1)):
+        evaluated = ~np.isnan(values[r, :, 0])
+        k[r, evaluated] = tie_rng(r).integers(0, n_equals[r, evaluated] + 1)
     return n_less, n_equals, k
 
 
@@ -114,14 +130,57 @@ def compute_rank(
         raise ValueError("posterior_values must be non-empty")
     if np.isnan(prior_value) or np.isnan(values).any():
         raise InvalidQuantityError(f"NaN in rank inputs for quantity {quantity!r}")
-    n_less, n_equals, k = _rank_step(np.array([prior_value], float), values[None, :], lambda: rng)
+    block = np.concatenate([[prior_value], values.ravel()])[None, None, :]
+    n_less, n_equals, k = _rank_block(block, lambda r: rng)
     return RankStatistic(
         quantity=quantity,
-        n_less=int(n_less[0]),
-        n_equals=int(n_equals[0]),
-        k=int(k[0]),
+        n_less=int(n_less[0, 0]),
+        n_equals=int(n_equals[0, 0]),
+        k=int(k[0, 0]),
         max_rank=int(values.size),
     )
+
+
+def _evaluate_group(
+    draws: np.ndarray, datasets: Sequence[Any], quantities: Sequence[TestQuantity]
+) -> tuple[np.ndarray, dict[tuple[int, int], str]]:
+    """Every quantity on a group's stacked (g, N, dim) draws: values (g, Q, N) and errors.
+
+    ``errors[r, j]`` is the message of quantity j failing in simulation r of
+    the group (it raised, returned the wrong shape or gave NaN); that cell's
+    values are all NaN. A quantity's ``batch`` form serves the whole group
+    when it returns a (g, N) array; otherwise ``evaluator`` runs once per
+    simulation, so one bad simulation costs only its own cell.
+    """
+    g, N = draws.shape[:2]
+    values = np.empty((g, len(quantities), N))
+    errors: dict[tuple[int, int], str] = {}
+    for j, q in enumerate(quantities):
+        out = None
+        if q.batch is not None:
+            try:
+                out = np.asarray(q.batch(draws, datasets), dtype=float)
+            except Exception:  # noqa: BLE001 - the per-simulation path records the failure
+                pass
+        if out is not None and out.shape == (g, N):
+            values[:, j] = out
+            continue
+        for r in range(g):
+            try:
+                got = np.asarray(q.evaluator(draws[r], datasets[r]), dtype=float)
+                if got.shape != (N,):
+                    raise InvalidQuantityError(
+                        f"evaluator {q.name!r} returned shape {got.shape}, expected ({N},)"
+                    )
+                values[r, j] = got
+            except Exception as exc:  # noqa: BLE001 - per-quantity isolation is the contract
+                errors[r, j] = f"{type(exc).__name__}: {exc}"
+                values[r, j] = np.nan
+    for r, j in zip(*np.nonzero(np.isnan(values).any(axis=2))):
+        name = quantities[j].name
+        errors.setdefault((r, j), f"InvalidQuantityError: NaN in rank inputs for quantity {name!r}")
+        values[r, j] = np.nan
+    return values, errors
 
 
 def evaluate_quantities(
@@ -135,24 +194,16 @@ def evaluate_quantities(
     Returns ``(values, errors)``: ``values[name] = (prior_value, posterior_values)``
     with posterior order preserved; an evaluator that raises, returns the
     wrong shape or returns NaN lands in ``errors`` without affecting the
-    other quantities.
+    other quantities. This is one simulation of the grouped evaluation.
     """
-    stacked = np.vstack([np.asarray(prior_draw, float)[None, :], posterior_draws])
-    values: dict[str, tuple[float, np.ndarray]] = {}
-    errors: dict[str, str] = {}
-    for q in quantities:
-        try:
-            out = np.asarray(q.evaluator(stacked, data), dtype=float)
-            if out.shape != (stacked.shape[0],):
-                raise InvalidQuantityError(
-                    f"evaluator {q.name!r} returned shape {out.shape}, expected ({stacked.shape[0]},)"
-                )
-            if np.isnan(out).any():
-                raise InvalidQuantityError(f"NaN in rank inputs for quantity {q.name!r}")
-            values[q.name] = (float(out[0]), out[1:])
-        except Exception as exc:  # noqa: BLE001 - per-quantity isolation is the contract
-            errors[q.name] = f"{type(exc).__name__}: {exc}"
-    return values, errors
+    draws = np.vstack([np.asarray(prior_draw, float)[None, :], posterior_draws])[None]
+    out, failed = _evaluate_group(draws, [data], quantities)
+    values = {
+        q.name: (float(out[0, j, 0]), out[0, j, 1:])
+        for j, q in enumerate(quantities)
+        if (0, j) not in failed
+    }
+    return values, {quantities[j].name: message for (_, j), message in sorted(failed.items())}
 
 
 @dataclass
@@ -203,6 +254,12 @@ class SbcRun:
 # M=100, thin=20 and four parameters it gives 524 chains per group.
 _LOCKSTEP_BYTES = 32 << 20
 
+# Memory budget for one group of the evaluation and ranking loop: the
+# stacked (g, M+1, dim) draws plus the (g, Q, M+1) quantity values, in
+# float64. At M=100, two parameters and eleven quantities it gives 199
+# simulations per group.
+_GROUP_BYTES = 2 << 20
+
 
 def _checked_draws(got: Any, shape: tuple[int, int]) -> Any:
     """Posterior draws as a float array of ``shape``, or the exception to record."""
@@ -214,6 +271,9 @@ def _checked_draws(got: Any, shape: tuple[int, int]) -> Any:
         return exc
     if post.shape != shape:
         return ValueError(f"family returned draws of shape {post.shape}, expected {shape}")
+    nan = np.isnan(post)
+    if nan.any():
+        return SamplerError(f"family returned NaN in {nan.any(axis=1).sum()} of {shape[0]} draws")
     return post
 
 
@@ -236,9 +296,11 @@ def run_sbc(
     whose call raises is rerun one simulation at a time through ``sample``.
     Simulations whose sampling raises (:class:`SamplerError` or anything
     else) or returns draws of the wrong shape are left out of the rank table
-    and listed in ``failures`` with the exception type and message. Each
-    simulation's Q quantities are ranked in one vectorised step; a quantity
-    that raises, has the wrong shape or gives NaN is left unranked in that
+    and listed in ``failures`` with the exception type and message; so are
+    simulations whose draws hold NaN. The successful simulations are then
+    evaluated and ranked in groups sized by ``_GROUP_BYTES`` (see
+    :class:`TestQuantity` for the ``batch`` contract); a quantity that
+    raises, has the wrong shape or gives NaN is left unranked in that
     simulation and listed in ``quantity_errors``.
     """
     if S < 1 or M < 1 or thin_stride < 1:
@@ -295,17 +357,19 @@ def run_sbc(
         failures=[(i, f"{type(exc).__name__}: {exc}") for i, exc in failed],
         quantity_errors=[],
     )
-    for row, i in enumerate(ok):
-        values, errors = evaluate_quantities(priors[i], checked[i], datasets[i], quantities)
-        run.quantity_errors.extend((i, name, message) for name, message in errors.items())
-        cols = [j for j, name in enumerate(names) if name in values]
-        if cols:
-            prior = np.array([values[names[j]][0] for j in cols])
-            post = np.stack([values[names[j]][1] for j in cols])
-            n_less, n_equals, k = _rank_step(prior, post, lambda: tiebreak_stream(seed, i))
-            run.n_less[row, cols], run.n_equals[row, cols] = n_less, n_equals
-            run.rank[row, cols] = n_less + k
-            run.evaluated[row, cols] = True
+    dim = priors[0].size
+    group = max(1, _GROUP_BYTES // (8 * (M + 1) * (dim + len(names))))
+    for lo in range(0, len(ok), group):
+        sims = ok[lo : lo + group]
+        stacked = np.empty((len(sims), M + 1, dim))
+        stacked[:, 0] = [priors[i] for i in sims]
+        stacked[:, 1:] = [checked[i] for i in sims]
+        values, errors = _evaluate_group(stacked, [datasets[i] for i in sims], quantities)
+        n_less, n_equals, k = _rank_block(values, lambda r: tiebreak_stream(seed, sims[r]))
+        rows = slice(lo, lo + len(sims))
+        run.n_less[rows], run.n_equals[rows], run.rank[rows] = n_less, n_equals, n_less + k
+        run.evaluated[rows] = ~np.isnan(values[:, :, 0])
+        run.quantity_errors.extend((sims[r], names[j], m) for (r, j), m in sorted(errors.items()))
     return run
 
 

@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from scipy import stats
 
-from .binomial import log_binom_tables
+from .binomial import log_binom_tail_minima
 from .core import SbcRun
 from .rng import stream
 
@@ -74,7 +74,11 @@ class RankSet:
     max_rank: int
 
     def __post_init__(self) -> None:
-        ranks = np.asarray(self.ranks, dtype=int)
+        given = np.asarray(self.ranks)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+            ranks = given.astype(int)
+        if not np.array_equal(ranks, given):
+            raise ValueError("ranks must be integers")
         object.__setattr__(self, "ranks", ranks)
         if ranks.size and (ranks.min() < 0 or ranks.max() > self.max_rank):
             raise ValueError("ranks must lie in [0, max_rank]")
@@ -144,10 +148,9 @@ def _z_points(M: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _cached_tables(S: int, M: int) -> np.ndarray:
     """[i, k] = min(log P(X <= k), log P(X >= k)) for X ~ Bin(S, z_i), k = 0..S."""
-    log_cdf, log_ge = log_binom_tables(S, _z_points(M))
-    np.minimum(log_cdf, log_ge[:, : S + 1], out=log_cdf)
-    log_cdf.flags.writeable = False
-    return log_cdf
+    table = log_binom_tail_minima(S, _z_points(M))
+    table.flags.writeable = False
+    return table
 
 
 def _log_gammas_from_counts(R: np.ndarray, S: int, M: int) -> np.ndarray:

@@ -228,26 +228,64 @@ def _pointwise_log_lik(draws: np.ndarray, y_k: np.ndarray) -> np.ndarray:
     return -_LOG2PI - 0.5 * _LOGDET - 0.5 * quad
 
 
+# Batch forms over a group's (g, N, 2) draws. Each runs its per-draw kernel's
+# arithmetic on the group's rows laid end to end, the same operations in the
+# same order, so every value equals the per-draw one bit for bit. One
+# exception: einsum orders the terms of a quadratic form differently when it
+# has fewer than three rows, so a simulation that small is evaluated alone.
+_EINSUM_MIN_ROWS = 3
+
+
+def _joint_log_lik_batch(draws: np.ndarray, ys) -> np.ndarray:
+    y = np.stack(ys)
+    if draws.shape[1] * y.shape[1] < _EINSUM_MIN_ROWS:
+        return np.stack([_joint_log_lik(d, y_r) for d, y_r in zip(draws, y)])
+    diff = (y[:, None, :, :] - draws[:, :, None, :]).reshape(-1, *y.shape[1:])
+    quad = np.einsum("nki,ij,nkj->nk", diff, _SIGMA_INV, diff)
+    out = y.shape[1] * (-_LOG2PI - 0.5 * _LOGDET) - 0.5 * quad.sum(axis=1)
+    return out.reshape(draws.shape[:2])
+
+
+def _pointwise_log_lik_batch(draws: np.ndarray, ys, k: int) -> np.ndarray:
+    y_k = np.stack([y[k] for y in ys])
+    if draws.shape[1] < _EINSUM_MIN_ROWS:
+        return np.stack([_pointwise_log_lik(d, y) for d, y in zip(draws, y_k)])
+    diff = (y_k[:, None, :] - draws).reshape(-1, 2)
+    quad = np.einsum("ni,ij,nj->n", diff, _SIGMA_INV, diff)
+    return (-_LOG2PI - 0.5 * _LOGDET - 0.5 * quad).reshape(draws.shape[:2])
+
+
+def _of_draws(name: str, f) -> TestQuantity:
+    """Quantity of the draws alone; ``f`` is elementwise over the last axis, so
+    it serves a (N, 2) simulation and a (g, N, 2) group alike."""
+    return TestQuantity(name, lambda d, y: f(d), batch=lambda d, ys: f(d))
+
+
 def quantity_library(n: int, variant=None) -> list[TestQuantity]:
     """Test quantities for the bivariate model.
 
-    ``density_ratio`` (correct posterior density over the variant's density)
-    is included only when the variant exposes a closed-form ``log_density``;
-    requesting it for a density-free variant is an error handled upstream.
+    All but ``density_ratio`` have batch forms. ``density_ratio`` (correct
+    posterior density over the variant's density) is included only when the
+    variant exposes a closed-form ``log_density``; requesting it for a
+    density-free variant is an error handled upstream.
     """
     quantities = [
-        TestQuantity("mu[1]", lambda d, y: d[:, 0]),
-        TestQuantity("mu[2]", lambda d, y: d[:, 1]),
-        TestQuantity("sum", lambda d, y: d[:, 0] + d[:, 1]),
-        TestQuantity("diff", lambda d, y: d[:, 0] - d[:, 1]),
-        TestQuantity("product", lambda d, y: d[:, 0] * d[:, 1]),
-        TestQuantity("mvn_log_lik", _joint_log_lik),
+        _of_draws("mu[1]", lambda d: d[..., 0]),
+        _of_draws("mu[2]", lambda d: d[..., 1]),
+        _of_draws("sum", lambda d: d[..., 0] + d[..., 1]),
+        _of_draws("diff", lambda d: d[..., 0] - d[..., 1]),
+        _of_draws("product", lambda d: d[..., 0] * d[..., 1]),
+        TestQuantity("mvn_log_lik", _joint_log_lik, batch=_joint_log_lik_batch),
         *(  # pointwise log-likelihoods of the first two data points that exist
-            TestQuantity(f"mvn_log_lik[{k + 1}]", lambda d, y, k=k: _pointwise_log_lik(d, y[k]))
+            TestQuantity(
+                f"mvn_log_lik[{k + 1}]",
+                lambda d, y, k=k: _pointwise_log_lik(d, y[k]),
+                batch=lambda d, ys, k=k: _pointwise_log_lik_batch(d, ys, k),
+            )
             for k in range(min(n, 2))
         ),
-        TestQuantity("abs_mu1", lambda d, y: np.abs(d[:, 0])),
-        TestQuantity("drop_mu1", lambda d, y: np.where(d[:, 0] < 1.0, d[:, 0], d[:, 0] - 5.0)),
+        _of_draws("abs_mu1", lambda d: np.abs(d[..., 0])),
+        _of_draws("drop_mu1", lambda d: np.where(d[..., 0] < 1.0, d[..., 0], d[..., 0] - 5.0)),
     ]
     if variant is not None and hasattr(variant, "log_density"):
         correct = CorrectPosterior(n)

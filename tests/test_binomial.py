@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sbc_lab.binomial import log_binom_pmf, log_binom_tables
+from sbc_lab.binomial import log_binom_pmf, log_binom_tables, log_binom_tail_minima
 
 
 def test_pmf_matches_scipy_in_safe_range():
@@ -50,3 +50,15 @@ def test_degenerate_probabilities():
 def test_rejects_bad_probability():
     with pytest.raises(ValueError):
         log_binom_pmf(4, np.array([1.5]))
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 20, 100, 250])
+def test_tail_minima_equal_full_tables_bit_for_bit(M):
+    grids = [np.arange(1, M + 2) / (M + 1), np.array([0.0, 0.3, 1.0])]
+    for n in [*range(1, 65), 99, 100, 101, 370, 1000, 4000]:
+        for p in grids:
+            log_cdf, log_ge = log_binom_tables(n, p)
+            expected = np.minimum(log_cdf, log_ge[:, : n + 1])
+            got = log_binom_tail_minima(n, p)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (n, p.size)

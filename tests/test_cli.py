@@ -9,6 +9,7 @@ from sbc_lab import cli
 from sbc_lab.cli import main
 from sbc_lab.core import TestQuantity as Quantity
 from sbc_lab.diagnostics import RankSet, chi_square_uniformity, default_chi2_bins, gamma_result
+from sbc_lab.models import gaussian
 from sbc_lab.reports import read_ranks_csv
 
 
@@ -148,6 +149,62 @@ class TestExitCodes:
         traced = {row.split(",")[1] for row in read(out / "evolution.csv").splitlines()[1:]}
         assert traced == set(ranks) - {"flaky"}
         assert (out / "hist_flaky.svg").exists()
+
+    def test_nan_draws_cost_their_simulations(self, tmp_path, monkeypatch, capsys):
+        def nan_family(variant, n):
+            family = gaussian.make_variant(variant, n)
+
+            class NanDraws:
+                name = family.name
+
+                def sample(self, y, M, rng, thin=1):
+                    draws = family.sample(y, M, rng, thin)
+                    if y[0, 0] > 2.0 or always_nan:
+                        draws[0, :] = np.nan
+                    return draws
+
+            return NanDraws()
+
+        spec = cli.MODELS["gaussian"]
+        monkeypatch.setitem(cli.MODELS, "gaussian-nan", dataclasses.replace(spec, family=nan_family))
+        argv = [*BASE, "--model", "gaussian-nan", "--sims", "200", "--no-timestamp"]
+        always_nan = False
+        out = tmp_path / "some"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(read(out / "report.json"))
+        ranks, _ = read_ranks_csv(out / "ranks.csv")
+        assert 0 < report["failures"] < 200 and report["quantity_errors"] == 0
+        assert all(r.size == 200 - report["failures"] for r in ranks.values())
+        assert (out / "evolution.svg").exists()
+
+        always_nan = True
+        out = tmp_path / "all"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: no quantity was ranked in any simulation\n"
+        assert json.loads(read(out / "report.json"))["failures"] == 200
+        assert not (out / "evolution.svg").exists()
+
+    def test_no_complete_quantity_skips_the_evolution_figure(self, tmp_path, monkeypatch, capsys):
+        def low(draws, y):
+            return draws[:, 0] + (np.nan if y[0, 0] < -1.0 else 0.0)
+
+        def high(draws, y):
+            if y[0, 0] > 1.0:
+                raise ValueError("too high")
+            return draws[:, 1]
+
+        spec = cli.MODELS["gaussian"]
+        two = lambda family, n: [Quantity("low", low), Quantity("high", high)]
+        monkeypatch.setitem(cli.MODELS, "gaussian-two", dataclasses.replace(spec, quantities=two))
+        out = tmp_path / "out"
+        assert run_cli(*BASE, "--model", "gaussian-two", "--out", str(out), "--no-timestamp") in (0, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "warning: no quantity was ranked in every simulation; evolution.svg not written"
+        assert [e["quantity"] for e in json.loads(read(out / "report.json"))["quantities"]] == ["low", "high"]
+        assert read(out / "evolution.csv") == "n_sims,quantity,log_ratio\n"
+        assert not (out / "evolution.svg").exists()
+        assert (out / "hist_low.svg").exists() and (out / "ecdf_high.svg").exists()
 
     def test_unknown_model_is_usage_error(self, capsys):
         assert run_cli("run", "--model", "nosuch") == 1

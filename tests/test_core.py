@@ -280,11 +280,105 @@ class TestRunSbc:
         assert run.quantity_names() == ["flaky", "theta"]
         assert run.ranks("theta").size == 200
 
+    def test_nan_draws_are_a_sampling_failure(self):
+        class NanFamily(_ToyFamily):
+            def sample(self, data, M, rng, thin):
+                draws = super().sample(data, M, rng, thin)
+                draws[0] = np.nan if data > 1.5 else draws[0]
+                return draws
+
+        reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=60, M=9, seed=4)
+        run = run_sbc(_ToyGenerator(), NanFamily(), _QS, S=60, M=9, seed=4)
+        bad = [i for i, data in zip(reference.sim_index.tolist(), reference.data) if data > 1.5]
+        assert 0 < len(bad) < 60 and run.quantity_errors == []
+        assert run.failures == [(i, "SamplerError: family returned NaN in 1 of 9 draws") for i in bad]
+        ranks = dict(zip(reference.sim_index.tolist(), reference.rank[:, 0].tolist()))
+        assert run.rank[:, 0].tolist() == [ranks[i] for i in run.sim_index.tolist()]
+
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=0, M=3, seed=0)
         with pytest.raises(ValueError):
             run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=3, M=0, seed=0)
+
+
+def _rounded(draws, data):
+    """Ties in some simulations; raises in others."""
+    if data > 1.5:
+        raise ArithmeticError(f"no value at {data:.3f}")
+    return np.round(draws[:, 0], 1)
+
+
+def _rounded_nan(draws, data):
+    """Ties in some simulations; NaN in others."""
+    return np.round(draws[:, 0], 1) + (np.nan if data > 1.5 else 0.0)
+
+
+def _stacked(draws, datasets):
+    """The batch form of ``_rounded_nan``: NaN rows where it gives NaN."""
+    return np.stack([_rounded_nan(d, data) for d, data in zip(draws, datasets)])
+
+
+def _raising_batch(draws, datasets):
+    raise RuntimeError("batch form broken")
+
+
+def _misshapen_batch(draws, datasets):
+    return draws[:, 1:, 0]
+
+
+class TestGroupedEvaluation:
+    """A batch form that fails, misshapes or gives NaN costs what the per-simulation path costs."""
+
+    @pytest.mark.parametrize(
+        "evaluator, batch, error",
+        [
+            (_rounded, _raising_batch, "ArithmeticError: no value at "),
+            (_rounded, _misshapen_batch, "ArithmeticError: no value at "),
+            (_rounded_nan, _stacked, "InvalidQuantityError: NaN in rank inputs for quantity 'rounded'"),
+        ],
+    )
+    @pytest.mark.parametrize("group_bytes", [1, 8 * 10 * 3 * 7, core._GROUP_BYTES])
+    def test_same_outcome_as_the_per_simulation_path(
+        self, monkeypatch, evaluator, batch, error, group_bytes
+    ):
+        def outcome(quantity):
+            opened = []
+
+            def tiebreak(seed, i):
+                opened.append(i)
+                return tiebreak_stream(seed, i)
+
+            monkeypatch.setattr(core, "tiebreak_stream", tiebreak)
+            run = run_sbc(_ToyGenerator(), _ToyFamily(), [*_QS, quantity], S=80, M=9, seed=21)
+            return run, opened
+
+        plain, plain_opened = outcome(Quantity("rounded", evaluator))
+        monkeypatch.setattr(core, "_GROUP_BYTES", group_bytes)  # groups of 1, 7 and all 80
+        run, opened = outcome(Quantity("rounded", evaluator, batch=batch))
+        assert 0 < len(plain.quantity_errors) < 80 and 0 < len(plain_opened) < 80
+        assert all(m.startswith(error) for _, _, m in run.quantity_errors)
+        assert run.quantity_errors == plain.quantity_errors
+        assert opened == plain_opened
+        for table in ("rank", "n_less", "n_equals", "evaluated"):
+            assert getattr(run, table).tolist() == getattr(plain, table).tolist(), table
+
+    def test_evaluate_quantities_is_a_group_of_one(self):
+        quantities = [
+            Quantity("rounded", _rounded_nan, batch=_stacked),
+            Quantity("shaped", lambda draws, data: draws[:-1, 0]),
+            Quantity("first", lambda draws, data: draws[:, 0], batch=lambda d, ds: d[..., 0]),
+        ]
+        prior, post = np.array([0.3]), np.array([[1.04], [2.0], [0.26]])
+        values, errors = evaluate_quantities(prior, post, 2.0, quantities)
+        assert list(values) == ["first"] and values["first"][0] == 0.3
+        assert values["first"][1].tolist() == [1.04, 2.0, 0.26]
+        assert errors == {
+            "rounded": "InvalidQuantityError: NaN in rank inputs for quantity 'rounded'",
+            "shaped": "InvalidQuantityError: evaluator 'shaped' returned shape (3,), expected (4,)",
+        }
+        values, errors = evaluate_quantities(prior, post, 1.0, quantities[:1])
+        assert errors == {} and values["rounded"][1].tolist() == [1.0, 2.0, 0.3]
 
 
 class TestEss:

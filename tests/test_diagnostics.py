@@ -74,6 +74,19 @@ def null_rows_and_tie(S, M):
     return null_ranks, null_ranks[np.argmin(np.abs(log_gammas - log_bar))]
 
 
+class TestRankSet:
+    def test_non_integral_ranks_rejected(self):
+        for ranks in ([0.5, 1.7, 2.2], [0.0, 1.0, 2.5], [np.nan, 1.0], [np.inf]):
+            with pytest.raises(ValueError, match="ranks must be integers"):
+                RankSet(np.array(ranks), 2)
+
+    def test_integral_ranks_of_any_dtype_accepted(self):
+        for ranks in ([0, 1, 2], np.array([0.0, 1.0, 2.0]), np.array([], dtype=float)):
+            rank_set = RankSet(np.asarray(ranks), 2)
+            assert rank_set.ranks.dtype == int
+            assert rank_set.ranks.tolist() == np.asarray(ranks).tolist()
+
+
 class TestGammaStatistic:
     def test_all_zero_ranks(self):
         # S=10, M=1: the i=1 point has R=10, z=1/2, upper tail 2^-10

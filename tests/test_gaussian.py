@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sbc_lab.cli import main
@@ -39,6 +41,31 @@ class TestGenerator:
         assert main(argv) == 1
         assert "n must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBatchForms:
+    @given(
+        variant=st.sampled_from(gaussian.VARIANT_NAMES),
+        n=st.sampled_from([1, 2, 3, 20]),
+        g=st.integers(min_value=1, max_value=40),
+        M=st.integers(min_value=1, max_value=60),
+        key=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_evaluator_bit_for_bit(self, variant, n, g, M, key):
+        generator, family = gaussian.GaussianGenerator(n), gaussian.make_variant(variant, n)
+        rng = stream(key, 0)
+        sims = [generator.generate(rng) for _ in range(g)]
+        datasets = [y for _, y in sims]
+        with np.errstate(invalid="ignore"):  # ignore-first at n=1 has no data left: NaN
+            draws = np.stack([np.vstack([mu, family.sample(y, M, rng)]) for mu, y in sims])
+        batched = [q for q in gaussian.quantity_library(n, family) if q.batch is not None]
+        assert len(batched) == (9 if n == 1 else 10)
+        for q in batched:
+            got = q.batch(draws, datasets)
+            expected = np.stack([q.evaluator(draws[r], datasets[r]) for r in range(g)])
+            assert got.shape == (g, M + 1), q.name
+            assert got.tobytes() == expected.tobytes(), q.name
 
 
 class TestVariantSamplers:
