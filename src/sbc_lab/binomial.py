@@ -8,10 +8,12 @@ rounding.
 
 Memory, not accuracy, bounds the size: the gamma diagnostic keeps one
 (M+1) x (S+1) float64 table per (S, M), about 0.8 GB at S=10^6 and M=100.
-:func:`log_binom_tail_minima` builds it in place of the pmf, in row bands,
-so the build holds that one array plus two tails of one band (about 0.13 GB
-more there); the full-table reference :func:`log_binom_tables` holds about
-four such arrays at once.
+:func:`log_binom_tail_minima` accumulates its two tails in place of two
+copies of the pmf, in blocks of columns across all rows, so the build holds
+two full (M+1) x (S+1) arrays plus boolean masks of an eighth of that size:
+measured with tracemalloc, about 2.3 such arrays at its peak (about 1.8 GB
+at S=10^6 and M=100), of which the one returned is kept. The full-table
+reference :func:`log_binom_tables` holds about four at once.
 """
 
 from __future__ import annotations

@@ -158,6 +158,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     S, M, seed = int(settings["sims"]), int(settings["draws"]), int(settings["seed"])
     run = run_sbc(generator, family, quantities, S=S, M=M, seed=seed, thin_stride=thin)
+    # the report keeps a quantity that failed in some simulations, but the
+    # evolution trace needs the same prefixes for every quantity
+    names = run.quantity_names()
+    complete = [q for q in names if run.ranked(q).all()]
+    # traced first: its one pass down the calibration draw fills the null of
+    # every prefix and ends on the (S, M) table, which the report reuses
+    traces = evolution_table({q: run.ranks(q) for q in complete}, M, step=int(settings["step"]))
 
     write_ranks_csv(run, out_dir / "ranks.csv")
     metadata = {
@@ -176,11 +183,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         messages = [m for _, q, m in run.quantity_errors if q == name]
         warning = f"quantity {name} failed in {len(messages)} simulations; first: {messages[0]}"
         print(f"warning: {warning}", file=sys.stderr)
-    # the report keeps a quantity that failed in some simulations, but the
-    # evolution trace needs the same prefixes for every quantity
-    names = run.quantity_names()
-    complete = [q for q in names if run.ranked(q).all()]
-    traces = evolution_table({q: run.ranks(q) for q in complete}, M, step=int(settings["step"]))
     write_evolution_csv(traces, out_dir / "evolution.csv")
     if not names:
         print("error: no quantity was ranked in any simulation", file=sys.stderr)

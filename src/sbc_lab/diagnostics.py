@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .binomial import log_binom_tail_minima
 from .core import SbcRun
@@ -93,7 +93,7 @@ class RankSet:
 
     def ecdf_counts(self) -> np.ndarray:
         """R[i-1] = #{ranks < i} for i = 1..M+1."""
-        return _rank_counts(self.ranks[None, :], self.max_rank)[0]
+        return _rank_counts(self.ranks[None, :], self.max_rank)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,10 @@ class EvolutionTrace:
 
 
 def _rank_counts(ranks: np.ndarray, M: int) -> np.ndarray:
-    """R[b, i-1] = #{ranks[b] < i} for i = 1..M+1, per row of a (B, S) rank matrix."""
+    """R[i-1, b] = #{ranks[b] < i} for i = 1..M+1, per row b of a (B, S) rank matrix."""
     B = ranks.shape[0]
-    offsets = np.arange(B) * (M + 1)
-    counts = np.bincount((ranks + offsets[:, None]).ravel(), minlength=B * (M + 1))
-    return np.cumsum(counts.reshape(B, M + 1), axis=1)
+    counts = np.bincount((ranks * B + np.arange(B)[:, None]).ravel(), minlength=(M + 1) * B)
+    return np.cumsum(counts.reshape(M + 1, B), axis=0)
 
 
 def _z_points(M: int) -> np.ndarray:
@@ -154,15 +153,16 @@ def _cached_tables(S: int, M: int) -> np.ndarray:
 
 
 def _log_gammas_from_counts(R: np.ndarray, S: int, M: int) -> np.ndarray:
-    """Log gamma of each row of a (B, M+1) matrix of ECDF counts of S ranks.
+    """Log gamma of each column of an (M+1, B) matrix of ECDF counts of S ranks.
 
-    R is overwritten with flat table indices. That saves a (B, M+1)
-    temporary: at B = n_mc a fresh one costs about as much in page faults
-    as the arithmetic.
+    The counts are point-major: row i holds every rank set's count at point
+    i + 1, so each row reads one row of the table. R is overwritten with
+    flat table indices. That saves an (M+1, B) temporary: at B = n_mc a
+    fresh one costs about as much in page faults as the arithmetic.
     """
     table = _cached_tables(S, M)
-    R += np.arange(M + 1) * (S + 1)
-    return _LOG2 + np.take(table, R).min(axis=1)
+    R += np.arange(0, (M + 1) * (S + 1), S + 1)[:, None]
+    return _LOG2 + np.take(table, R).min(axis=0)
 
 
 def _log_gammas_for_matrix(ranks: np.ndarray, M: int) -> np.ndarray:
@@ -187,11 +187,15 @@ def gamma_statistic(rank_set: RankSet) -> float:
     return float(np.exp(log_gamma_statistic(rank_set)))
 
 
+def _check_n_mc(n_mc: int) -> None:
+    if n_mc < 1000:
+        raise ValueError("n_mc must be at least 1000")
+
+
 def _check_null_args(level: float, n_mc: int) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    if n_mc < 1000:
-        raise ValueError("n_mc must be at least 1000")
+    _check_n_mc(n_mc)
 
 
 def gamma_null_quantile(
@@ -224,9 +228,10 @@ def _prefix_nulls(lengths: list[int], M: int, n_mc: int):
     """Yield (n, sorted null log gammas) for each ascending prefix length n.
 
     A missing null is filled in the same pass: the rows of the calibration
-    draw are added block by block to running (n_mc, M+1) ECDF counts, which
-    are read at each missing n. When (n, ...) is yielded the (n, M) table is
-    current, so the caller's own kernel call at n reuses it.
+    draw are added block by block to running point-major (M+1, n_mc) rank
+    counts, whose running sum down the points gives the ECDF counts at each
+    missing n. When (n, ...) is yielded the (n, M) table is current, so the
+    caller's own kernel call at n reuses it.
     """
     blocks = _null_rows(lengths[-1], M, n_mc)  # lazy: opens the stream on the first miss
     block = np.empty((0, n_mc), dtype=np.int64)
@@ -237,18 +242,21 @@ def _prefix_nulls(lengths: list[int], M: int, n_mc: int):
         got = _null_cache.get(key)
         if got is None:
             if counts is None:
-                # counts[b * (M+1) + v]: rank v among the counted rows of replicate b
-                counts = np.zeros(n_mc * (M + 1), dtype=np.int64)
-                replicate = np.arange(n_mc) * (M + 1)
-                R = np.empty((n_mc, M + 1), dtype=np.int64)
+                # counts[v, b]: rank v among the counted rows of replicate b
+                counts = np.zeros((M + 1, n_mc), dtype=np.int64)
+                replicate = np.arange(n_mc)
+                R = np.empty_like(counts)
             while counted < n:
                 if not len(block):
                     block = next(blocks)
                 take = min(n - counted, len(block))
-                np.add.at(counts, block[:take] + replicate, 1)
+                np.add.at(counts.reshape(-1), block[:take] * n_mc + replicate, 1)
                 block = block[take:]
                 counted += take
-            np.cumsum(counts.reshape(n_mc, M + 1), axis=1, out=R)
+            # a running add per point: cumsum(axis=0) walks the columns
+            R[0] = counts[0]
+            for i in range(1, M + 1):
+                np.add(R[i - 1], counts[i], out=R[i])
             got = np.sort(_log_gammas_from_counts(R, n, M))
             with _null_lock:
                 got = _null_cache.setdefault(key, got)
@@ -378,6 +386,7 @@ def ecdf_band(S: int, M: int, coverage: float = 0.95, n_mc: int = 5000) -> EcdfB
     """
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must lie strictly between 0 and 1")
+    _check_n_mc(n_mc)
     if coverage >= 1.0 - 0.5 / n_mc:
         # beyond Monte-Carlo resolution only the sure box has the coverage
         return EcdfBand(
@@ -446,10 +455,11 @@ def chi_square_uniformity(rank_set: RankSet, n_bins: int | None = None) -> ChiSq
     counts = np.bincount(rank_set.ranks, minlength=M + 1)
     observed = np.add.reduceat(counts, edges[:-1]).astype(float)
     expected = S * sizes / (M + 1)
-    statistic, p_value = stats.chisquare(observed, f_exp=expected)
+    # the arithmetic of scipy.stats.chisquare, without importing scipy.stats
+    statistic = ((observed - expected) ** 2 / expected).sum()
     return ChiSquareResult(
         statistic=float(statistic),
-        p_value=float(p_value),
+        p_value=float(chdtrc(n_bins - 1, statistic)),
         dof=n_bins - 1,
         low_expected=bool(np.any(expected < 5.0)),
     )

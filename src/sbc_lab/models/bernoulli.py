@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from ..core import TestQuantity
 
@@ -425,6 +424,10 @@ def sample_rank_cdf_prediction(
     Averaging the binomial CDF over t (Gauss-Legendre) and over the two
     equally likely observations gives P(rank <= i) for i = 0..M.
     """
+    # imported here: scipy.stats costs about a second to import, and only
+    # this prediction, which the run path never calls, uses it
+    from scipy import stats
+
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights

@@ -113,6 +113,8 @@ class IgnoreFirstPosterior:
         self.n = n
 
     def _mean(self, y):
+        if self.n == 1:  # no data left: the posterior is the prior
+            return np.zeros(2)
         rest = y[1:]
         return (self.n - 1) * rest.mean(axis=0) / self.n
 

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import sbc_lab
 from sbc_lab import cli
 from sbc_lab.cli import main
 from sbc_lab.core import TestQuantity as Quantity
@@ -244,6 +247,15 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "gaussian", "simulations": 10}))
         assert run_cli("run", "--config", str(cfg)) == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import, more than a default
+    # Gaussian run; the package needs only scipy.special
+    code = "import sys, sbc_lab, sbc_lab.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = str(Path(sbc_lab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "scipy.stats was imported"
 
 
 class TestOtherCommands:

@@ -357,8 +357,51 @@ class TestEcdfBand:
         with pytest.raises(ValueError):
             ecdf_band(10, 5, coverage=1.0)
 
+    @pytest.mark.parametrize("n_mc,coverage", [(0, 0.95), (500, 0.95), (500, 0.9999)])
+    def test_small_n_mc_rejected_before_use(self, n_mc, coverage):
+        # n_mc is checked before it divides, and at every coverage
+        with pytest.raises(ValueError, match="n_mc must be at least 1000"):
+            ecdf_band(10, 5, coverage=coverage, n_mc=n_mc)
+
+
+def scipy_chisquare(rank_set, n_bins):
+    """scipy.stats.chisquare on the cells of chi_square_uniformity."""
+    M = rank_set.max_rank
+    n_bins = int(min(max(n_bins, 1), M + 1))
+    base, extra = divmod(M + 1, n_bins)
+    sizes = np.full(n_bins, base, dtype=int)
+    sizes[:extra] += 1
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    observed = np.add.reduceat(np.bincount(rank_set.ranks, minlength=M + 1), starts).astype(float)
+    return stats.chisquare(observed, f_exp=rank_set.S * sizes / (M + 1))
+
 
 class TestChiSquare:
+    @given(
+        S=st.integers(min_value=1, max_value=3000),
+        M=st.integers(min_value=0, max_value=250),
+        n_bins=st.integers(min_value=1, max_value=300),
+        skew=st.sampled_from([1.0, 0.9, 3.0]),
+        key=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy_chisquare_bit_for_bit(self, S, M, n_bins, skew, key):
+        # one bin (dof 0, p NaN in both) and expected counts below 5 included
+        draws = stream(key, 0).beta(skew, 1.0, size=S)
+        rank_set = RankSet(np.minimum(((M + 1) * draws).astype(int), M), M)
+        res = chi_square_uniformity(rank_set, n_bins=n_bins)
+        statistic, p_value = scipy_chisquare(rank_set, n_bins)
+        assert np.float64(res.statistic).tobytes() == np.float64(statistic).tobytes()
+        assert np.float64(res.p_value).tobytes() == np.float64(p_value).tobytes()
+
+    def test_equals_scipy_chisquare_at_one_bin_and_low_expected(self):
+        for ranks, M, n_bins in (([0, 0, 3], 3, 1), ([0], 0, 5), (list(range(10)), 9, 10)):
+            rank_set = RankSet(np.array(ranks), M)
+            res = chi_square_uniformity(rank_set, n_bins=n_bins)
+            expected = np.array(scipy_chisquare(rank_set, n_bins))
+            assert np.array([res.statistic, res.p_value]).tobytes() == expected.tobytes()
+            assert res.low_expected
+
     def test_balanced_ranks_give_p_one(self):
         ranks = np.repeat(np.arange(10), 5)  # 5 in each of 10 cells
         res = chi_square_uniformity(RankSet(ranks, 9), n_bins=10)

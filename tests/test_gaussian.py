@@ -84,6 +84,15 @@ class TestVariantSamplers:
         np.testing.assert_allclose(draws.mean(axis=0), [0.0, 0.0], atol=0.01)
         np.testing.assert_allclose(np.cov(draws.T), gaussian.SIGMA / 3.0, atol=0.01)
 
+    def test_ignore_first_with_one_point_is_the_prior(self):
+        # no data left after the first point: the same draws and density as prior-only
+        y = np.array([[17.0, -4.0]])
+        fam = gaussian.make_variant("ignore-first", n=1)
+        prior = gaussian.make_variant("prior-only", n=1)
+        draws = fam.sample(y, 50, stream(4, 1))
+        assert draws.tobytes() == prior.sample(y, 50, stream(4, 1)).tobytes()
+        assert fam.log_density(draws, y).tobytes() == prior.log_density(draws, y).tobytes()
+
     def test_prior_only_ignores_data(self):
         fam = gaussian.make_variant("prior-only", n=3)
         a = fam.sample(np.zeros((3, 2)), 50, stream(5, 1))

@@ -35,19 +35,25 @@ GOLDEN = {
             "evolution.csv": "3a9042bdf5fef476e0d10bcea76b26a78ce4b580b75707354a6cf14fc6b5dd47",
         },
     ),
-    # With one data point ignore-first has none left: every draw is NaN, so
-    # every simulation is a sampling failure and nothing is ranked (exit 1).
-    # Its report.json counts them as failures; before NaN draws were
-    # sampling failures it counted 1200 quantity errors instead
+    # With one data point ignore-first has none left, so its posterior is the
+    # prior: it samples as prior-only does, and the likelihood quantities
+    # reject (exit 2). It used to take the mean of no points, so every draw
+    # was NaN, every simulation a sampling failure and nothing was ranked
+    # (exit 1), with the digests
+    #   ranks.csv      54f0a2cfc4a320cecaa811f59d76f4f9b30d6e6a3287f582e64d291ea329f187
+    #   report.json    e665fea87cac3c86ba1c9d18db9112d037db439f89e0e63324705451ac7c5ee7
+    #   evolution.csv  e58ef5c302d70bc77324a23865792df2ec05fbbd90cce9788438faeb94a9d0b8
+    # and, before NaN draws were sampling failures, a report.json counting
+    # 1200 quantity errors
     # (ad0ee59a77afadfc91635f01232028de70d7e14d29950abf738f5691455fc8b5).
     "gaussian-ignore-first-n1": (
         ["--model", "gaussian", "--variant", "ignore-first", "--n", "1", "--sims", "120", "--draws", "30",
          "--step", "40"],
-        1,
+        2,
         {
-            "ranks.csv": "54f0a2cfc4a320cecaa811f59d76f4f9b30d6e6a3287f582e64d291ea329f187",
-            "report.json": "e665fea87cac3c86ba1c9d18db9112d037db439f89e0e63324705451ac7c5ee7",
-            "evolution.csv": "e58ef5c302d70bc77324a23865792df2ec05fbbd90cce9788438faeb94a9d0b8",
+            "ranks.csv": "799a636588f2fb202bd498615b083f609df1908786b8f5beb69255f61a423103",
+            "report.json": "1f140c9754309e9b670a2a72afc8b038739ec5f924ec9092a415bab2ec99db63",
+            "evolution.csv": "773215af7a0cb999b68c9cf64f55f0917c37d74217f18a1fdca814598e23fb06",
         },
     ),
     "simplex-min": (
