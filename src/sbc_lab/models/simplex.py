@@ -16,7 +16,8 @@ for the ordered Dirichlet posterior provides an MCMC-free cross-check.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,8 +49,6 @@ VARIANT_NAMES = ("min", "softmax-bad", "softmax-fixed", "gamma")
 
 _LOG_DIRICHLET_NORM = float(gammaln(ALPHA.sum()) - gammaln(ALPHA).sum())
 _ALPHA_MINUS_1 = ALPHA - 1.0
-# log(K + 1 - i) for the steps of the K = 4 bounded-vector recursion
-_LOG_DENOMS = tuple(np.log(d) for d in (4, 3, 2))
 
 # Iterations of proposal noise drawn per chain at a time; the noise buffers
 # of a lockstep group hold B x _NOISE_BLOCK x (dim + 1) floats whatever the
@@ -79,18 +78,31 @@ def transform_min(u: np.ndarray) -> TransformResult:
         raise DomainError("u must be a vector of length K-1 >= 1")
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise DomainError("all entries of u must lie strictly in (0, 1)")
-    K = u.size + 1
-    x = np.empty(K)
-    b, r = 0.0, 1.0
-    log_jac = 0.0
-    for i in range(K - 1):
-        denom = K - i  # K + 1 - (i + 1) with zero-based i
-        x[i] = b + r * u[i] / denom
-        log_jac += np.log(r) - np.log(denom)
-        b = x[i]
-        r = r * (1.0 - u[i])
-    x[K - 1] = b + r
-    return TransformResult(x=x, log_jacobian=float(log_jac))
+    x, log_jac = _min_columns(u[:, None], 1.0 - u[:, None])
+    return TransformResult(x=x[:, 0], log_jacobian=float(log_jac[0]))
+
+
+@functools.cache
+def _log_denoms(K: int) -> tuple[float, ...]:
+    """log(K + 1 - i) for the steps i = 1..K-1 of the bounded-vector recursion."""
+    return tuple(np.log(d) for d in range(K, 1, -1))
+
+
+def _min_columns(u: np.ndarray, one_minus_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bounded-vector recursion on (K-1, B) columns of u and 1 - u:
+    the (K, B) ordered simplex and the (B,) log-Jacobians."""
+    K, B = u.shape[0] + 1, u.shape[1]
+    log_denoms = _log_denoms(K)
+    x = np.empty((K, B))
+    x[0] = u[0] / K
+    log_jac = np.full(B, -log_denoms[0])
+    r = one_minus_u[0]
+    for i in range(1, K - 1):
+        x[i] = x[i - 1] + r * u[i] / (K - i)
+        log_jac = log_jac + (np.log(r) - log_denoms[i])
+        r = r * one_minus_u[i]
+    x[K - 1] = x[K - 2] + r
+    return x, log_jac
 
 
 def transform_softmax(v: np.ndarray, fixed: bool) -> TransformResult:
@@ -105,12 +117,19 @@ def transform_softmax(v: np.ndarray, fixed: bool) -> TransformResult:
         raise DomainError("v must be a vector of length K-1 >= 1")
     if v[0] <= 0.0 or np.any(np.diff(v) <= 0.0):
         raise DomainError("v must be strictly positive and strictly increasing")
-    K = v.size + 1
+    x, log_jac = _softmax_columns(v[:, None], fixed)
+    return TransformResult(x=x[:, 0], log_jacobian=float(log_jac[0]))
+
+
+def _softmax_columns(v: np.ndarray, fixed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax of (0, v) on (K-1, B) columns of v: the (K, B) ordered
+    simplex and the (B,) log-Jacobians, not finite where s overflows."""
+    K = v.shape[0] + 1
     ev = np.exp(v)
-    s = 1.0 + ev.sum()
-    x = np.concatenate([[1.0 / s], ev / s])
+    s = 1.0 + ev.sum(axis=0)
+    x = np.concatenate([1.0 / s[None, :], ev / s], axis=0)
     exponent = K if fixed else K - 1
-    return TransformResult(x=x, log_jacobian=float(v.sum() - exponent * np.log(s)))
+    return x, v.sum(axis=0) - exponent * np.log(s)
 
 
 def transform_gamma(w: np.ndarray) -> np.ndarray:
@@ -170,36 +189,21 @@ def _log_posterior_batch(
         norm = _multinomial_norm(ys)
     zt = np.ascontiguousarray(z.T)
     yt = np.ascontiguousarray(ys.T)
-    B = zt.shape[1]
-    K = 4
     if variant == "min":
-        # transform_min's recursion with b = 0 and r = 1 on entry. A u on the
-        # boundary {0, 1} makes ``base`` -inf and no term is +inf, so the
-        # finiteness mask below rejects it.
+        # A u on the boundary {0, 1} makes ``base`` -inf and no term is +inf,
+        # so the finiteness mask below rejects it.
         u = expit(zt)
         one_minus_u = 1.0 - u
         base = np.log(u * one_minus_u).sum(axis=0)
-        x = np.empty((K, B))
-        x[0] = u[0] / K
-        log_jac = 0.0 - _LOG_DENOMS[0]
-        r = one_minus_u[0]
-        for i in range(1, K - 1):
-            x[i] = x[i - 1] + r * u[i] / (K - i)
-            log_jac = log_jac + (np.log(r) - _LOG_DENOMS[i])
-            r = r * one_minus_u[i]
-        x[K - 1] = x[K - 2] + r
+        x, log_jac = _min_columns(u, one_minus_u)
         lp = base + log_jac + _model_log_density(x, yt, norm)
     elif variant in ("softmax-bad", "softmax-fixed"):
         ez = np.exp(zt)
         v = np.cumsum(ez, axis=0)
         ok = np.all(np.isfinite(v), axis=0) & np.all(ez > 0.0, axis=0)
         base = zt.sum(axis=0)
-        ev = np.exp(v)
-        s = 1.0 + ev.sum(axis=0)
-        ok &= np.isfinite(s)
-        x = np.concatenate([1.0 / s[None, :], ev / s], axis=0)
-        exponent = K if variant == "softmax-fixed" else K - 1
-        log_jac = v.sum(axis=0) - exponent * np.log(s)
+        x, log_jac = _softmax_columns(v, variant == "softmax-fixed")
+        ok &= np.isfinite(log_jac)  # not finite where s overflowed
         lp = np.where(ok, base + log_jac + _model_log_density(x, yt, norm), -np.inf)
     else:  # gamma
         ez = np.exp(zt)
@@ -405,8 +409,12 @@ def rwm_sample(
         raise SamplerError("zero acceptance after warmup")
     chain = keep[0]
     draws = chain[config.thin - 1 :: config.thin][:M]
-    ess_min = min(ess(chain[:, d]).ess for d in range(dim))
-    return draws, float(accepts[0] / retained), float(ess_min)
+    return draws, float(accepts[0] / retained), _ess_min(chain)
+
+
+def _ess_min(chain: np.ndarray) -> float:
+    """Minimum effective sample size over the columns of a (T, dim) chain."""
+    return float(min(ess(chain[:, d]).ess for d in range(chain.shape[1])))
 
 
 class RwmSimplexFamily:
@@ -444,19 +452,10 @@ class RwmSimplexFamily:
             raise out[0]
         return out[0]
 
-    def _ess_min(self, chain: np.ndarray) -> float:
-        return min(ess(chain[:, d]).ess for d in range(self.dim))
-
     def sample_batch(self, datas, M, streams, thin=None):
         config = self.config
         if thin is not None and thin != config.thin:
-            config = RwmConfig(
-                warmup=config.warmup,
-                retained=config.retained,
-                thin=thin,
-                init_step=config.init_step,
-                target_accept=config.target_accept,
-            )
+            config = replace(config, thin=thin)
         block = config.retained if config.retained is not None else M * config.thin
         if block < M * config.thin:
             raise ValueError("retained must cover M * thin iterations")
@@ -510,7 +509,7 @@ class RwmSimplexFamily:
             if accepts[b] == 0:
                 failed[b] = SamplerError("zero acceptance after warmup")
         pending = [
-            b for b in range(B) if b not in failed and self._ess_min(chain(b)) < self.min_ess
+            b for b in range(B) if b not in failed and _ess_min(chain(b)) < self.min_ess
         ]
         for _ in range(self.max_extensions):
             if not pending:
@@ -530,7 +529,7 @@ class RwmSimplexFamily:
             for j, b in enumerate(pending):
                 segments[b].append(kept[j])
                 accepts[b] += acc[j]
-            pending = [b for b in pending if self._ess_min(chain(b)) < self.min_ess]
+            pending = [b for b in pending if _ess_min(chain(b)) < self.min_ess]
         for b in pending:
             failed[b] = SamplerError(
                 f"min ESS below {self.min_ess:g} after {self.max_extensions} chain extensions"

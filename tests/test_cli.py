@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sbc_lab
 from sbc_lab import cli
@@ -212,6 +213,15 @@ class TestExitCodes:
     def test_unknown_model_is_usage_error(self, capsys):
         assert run_cli("run", "--model", "nosuch") == 1
         assert "valid models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sims", "--draws", "--step"])
+    def test_counts_below_one_rejected_before_running(self, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--model", "gaussian", "--sims", "20", "--draws", "5", "--step", "5"]
+        argv[argv.index(flag) + 1] = "0"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert f"error: {flag} must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_variant_and_quantity(self, tmp_path):
         assert run_cli("run", "--model", "gaussian", "--variant", "bogus") == 1

@@ -60,7 +60,7 @@ class TestBatchForms:
         with np.errstate(invalid="ignore"):  # ignore-first at n=1 has no data left: NaN
             draws = np.stack([np.vstack([mu, family.sample(y, M, rng)]) for mu, y in sims])
         batched = [q for q in gaussian.quantity_library(n, family) if q.batch is not None]
-        assert len(batched) == (9 if n == 1 else 10)
+        assert len(batched) == (9 if n == 1 else 10) + (family.log_density is not None)
         for q in batched:
             got = q.batch(draws, datasets)
             expected = np.stack([q.evaluator(draws[r], datasets[r]) for r in range(g)])
@@ -178,6 +178,27 @@ class TestQuantities:
         assert report["quantity_errors"] == 0
         names = [q.name for q in gaussian.quantity_library(1, gaussian.make_variant("correct", 1))]
         assert [e["quantity"] for e in report["quantities"]] == names
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["correct", "prior-only", "ignore-first", "independent-marginals"])
+    def test_log_density_matches_scipy(self, variant, n):
+        # each variant's own mean and covariance, on one simulation and on a group
+        fam = gaussian.make_variant(variant, n)
+        rng = stream(11, n)
+        ys = rng.standard_normal((4, n, 2))
+        draws = rng.standard_normal((4, 7, 2))
+
+        def moments(y):
+            if variant == "prior-only" or (variant == "ignore-first" and n == 1):
+                return np.zeros(2), gaussian.SIGMA
+            if variant == "ignore-first":
+                return y[1:].sum(axis=0) / n, gaussian.SIGMA / n
+            cov = np.eye(2) if variant == "independent-marginals" else gaussian.SIGMA
+            return y.sum(axis=0) / (n + 1), cov / (n + 1)
+
+        ref = np.stack([stats.multivariate_normal.logpdf(d, *moments(y)) for d, y in zip(draws, ys)])
+        np.testing.assert_allclose(fam.log_density(draws[0], ys[0]), ref[0], rtol=1e-12)
+        np.testing.assert_allclose(fam.log_density(draws, ys), ref, rtol=1e-12)
 
     def test_density_ratio_absent_without_closed_form(self):
         fam = gaussian.make_variant("small-bias", n=3)
