@@ -148,8 +148,8 @@ def _select_quantities(requested: str, library) -> list:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _merge_config(args)
-    for key in ("sims", "draws", "step"):
-        if int(settings[key]) < 1:
+    for key in ("sims", "draws", "step", "thin"):
+        if settings.get(key) is not None and int(settings[key]) < 1:
             raise UsageError(f"--{key} must be at least 1, got {settings[key]}")
     model = settings["model"]
     generator, family, library, default_thin = _build(

@@ -84,7 +84,8 @@ class GaussianPosterior:
 
     def __init__(self, name: str, n: int):
         if name not in VARIANT_NAMES:
-            raise ValueError(f"unknown gaussian variant {name!r}; known: {', '.join(VARIANT_NAMES)}")
+            known = ", ".join(VARIANT_NAMES)
+            raise ValueError(f"unknown gaussian variant {name!r}; known: {known}")
         self.name = name
         self.n = n
         if name == "prior-only":
@@ -129,8 +130,9 @@ class GaussianPosterior:
         if self.name == "independent-marginals":
             return -_LOG2PI - np.log(self.scale) - 0.5 * (diff**2).sum(axis=-1) / self.scale
         rows = diff.reshape(-1, 2)
-        quad = np.einsum("ni,ij,nj->n", rows, _SIGMA_INV, rows).reshape(diff.shape[:-1]) / self.scale
-        return -_LOG2PI - 0.5 * (_LOGDET + 2.0 * np.log(self.scale)) - 0.5 * quad
+        quad = np.einsum("ni,ij,nj->n", rows, _SIGMA_INV, rows) / self.scale
+        out = -_LOG2PI - 0.5 * (_LOGDET + 2.0 * np.log(self.scale)) - 0.5 * quad
+        return out.reshape(diff.shape[:-1])
 
 
 make_variant = GaussianPosterior

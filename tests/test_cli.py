@@ -214,10 +214,10 @@ class TestExitCodes:
         assert run_cli("run", "--model", "nosuch") == 1
         assert "valid models" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--sims", "--draws", "--step"])
+    @pytest.mark.parametrize("flag", ["--sims", "--draws", "--step", "--thin"])
     def test_counts_below_one_rejected_before_running(self, flag, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = ["run", "--model", "gaussian", "--sims", "20", "--draws", "5", "--step", "5"]
+        argv = ["run", "--model", "gaussian", "--sims", "20", "--draws", "5", "--step", "5", "--thin", "1"]
         argv[argv.index(flag) + 1] = "0"
         assert run_cli(*argv, "--out", str(out)) == 1
         assert f"error: {flag} must be at least 1, got 0" in capsys.readouterr().err
