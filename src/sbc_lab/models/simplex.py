@@ -91,17 +91,19 @@ def _log_denoms(K: int) -> tuple[float, ...]:
 def _min_columns(u: np.ndarray, one_minus_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bounded-vector recursion on (K-1, B) columns of u and 1 - u:
     the (K, B) ordered simplex and the (B,) log-Jacobians."""
-    K, B = u.shape[0] + 1, u.shape[1]
+    K = u.shape[0] + 1
     log_denoms = _log_denoms(K)
-    x = np.empty((K, B))
+    x = np.empty((K, u.shape[1]))
     x[0] = u[0] / K
-    log_jac = np.full(B, -log_denoms[0])
+    log_jac = -log_denoms[0]
     r = one_minus_u[0]
     for i in range(1, K - 1):
         x[i] = x[i - 1] + r * u[i] / (K - i)
         log_jac = log_jac + (np.log(r) - log_denoms[i])
         r = r * one_minus_u[i]
     x[K - 1] = x[K - 2] + r
+    if K == 2:  # no step ran, so the one term is still a scalar
+        log_jac = np.full(u.shape[1], log_jac)
     return x, log_jac
 
 
