@@ -30,8 +30,14 @@ class UsageError(Exception):
     pass
 
 
+class _ModelNameError(UsageError):
+    """A usage error in the model name: ``main`` lists the valid models after it."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
+        if message.startswith("argument --model:"):
+            raise _ModelNameError(message)
         raise UsageError(message)
 
 
@@ -76,7 +82,7 @@ def _build(model: str, variant: str, n: int):
     """Generator, family, full quantity library, and the default thin stride."""
     spec = MODELS.get(model)
     if spec is None:
-        raise UsageError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
+        raise _ModelNameError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
     if variant not in spec.variants:
         raise UsageError(
             f"unknown {model} variant {variant!r}; valid: {', '.join(spec.variants)}"
@@ -128,7 +134,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, value in _RUN_DEFAULTS.items():
         settings.setdefault(key, value)
     if "model" not in settings:
-        raise UsageError("--model is required (or provide it in --config)")
+        raise _ModelNameError("--model is required (or provide it in --config)")
     return settings
 
 
@@ -280,7 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("valid models: " + ", ".join(sorted(MODELS)), file=sys.stderr)
+        if isinstance(exc, _ModelNameError):
+            print("valid models: " + ", ".join(sorted(MODELS)), file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ test: the counts whose table entries clear the null quantile.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -209,7 +208,6 @@ def gamma_null_quantile(
 
 
 _null_cache: dict[tuple[int, int, int], np.ndarray] = {}
-_null_lock = threading.Lock()
 
 
 def _null_rows(n: int, M: int, n_mc: int):
@@ -258,8 +256,7 @@ def _prefix_nulls(lengths: list[int], M: int, n_mc: int):
             for i in range(1, M + 1):
                 np.add(R[i - 1], counts[i], out=R[i])
             got = np.sort(_log_gammas_from_counts(R, n, M))
-            with _null_lock:
-                got = _null_cache.setdefault(key, got)
+            _null_cache[key] = got
         yield n, got
 
 

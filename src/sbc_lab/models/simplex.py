@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +34,6 @@ __all__ = [
     "transform_softmax",
     "transform_gamma",
     "log_posterior",
-    "RwmConfig",
-    "rwm_sample",
     "RwmSimplexFamily",
     "ExactOrderedDirichletFamily",
     "SimplexGenerator",
@@ -54,6 +52,16 @@ _ALPHA_MINUS_1 = ALPHA - 1.0
 # of a lockstep group hold B x _NOISE_BLOCK x (dim + 1) floats whatever the
 # chain length.
 _NOISE_BLOCK = 128
+
+# Adaptive random-walk Metropolis tuning (Haario et al. 2001): warmup
+# iterations, the initial proposal scale and the acceptance rate the scale
+# adapts toward; then the minimum effective sample size a kept chain must
+# reach, and the most frozen-kernel extension blocks it may run to reach it.
+_WARMUP = 2000
+_INIT_STEP = 0.5
+_TARGET_ACCEPT = 0.3
+_MIN_ESS = 100.0
+_MAX_EXTENSIONS = 9
 
 
 class DomainError(ValueError):
@@ -148,16 +156,17 @@ def transform_gamma(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def dirichlet_log_density(x: np.ndarray, alpha: np.ndarray = ALPHA) -> np.ndarray:
+def dirichlet_log_density(x: np.ndarray) -> np.ndarray:
+    """Dirichlet(ALPHA) log density of each row of x."""
     x = np.atleast_2d(x)
-    return _LOG_DIRICHLET_NORM + ((alpha - 1.0) * np.log(x)).sum(axis=1)
+    return _LOG_DIRICHLET_NORM + (_ALPHA_MINUS_1 * np.log(x)).sum(axis=1)
 
 
 def multinomial_log_lik(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Multinomial log probability of the counts y under each row of x."""
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=float)
-    norm = gammaln(y.sum() + 1.0) - gammaln(y + 1.0).sum()
-    return norm + (y * np.log(x)).sum(axis=1)
+    return _multinomial_norm(y[None, :])[0] + (y * np.log(x)).sum(axis=1)
 
 
 def unconstrained_dim(variant: str) -> int:
@@ -242,35 +251,14 @@ def log_posterior(variant: str, z: np.ndarray, y: np.ndarray) -> float:
     return float(lp[0])
 
 
-@dataclass(frozen=True)
-class RwmConfig:
-    """Adaptive random-walk Metropolis settings.
-
-    ``retained`` is the number of post-warmup iterations kept before
-    thinning; None means exactly M * thin at sampling time.
-    """
-
-    warmup: int = 2000
-    retained: int | None = None
-    thin: int = 20
-    init_step: float = 0.5
-    target_accept: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.warmup < 100:
-            raise ValueError("warmup must be at least 100")
-        if self.thin < 1 or self.init_step <= 0.0:
-            raise ValueError("thin must be >= 1 and init_step positive")
-
-
 class _ChainState:
     """Per-chain sampler state: position, step scale, proposal Cholesky."""
 
-    def __init__(self, z0: np.ndarray, lp: np.ndarray, init_step: float):
+    def __init__(self, z0: np.ndarray, lp: np.ndarray):
         B, dim = z0.shape
         self.z = z0.copy()
         self.lp = lp
-        self.log_step = np.full(B, np.log(init_step))
+        self.log_step = np.full(B, np.log(_INIT_STEP))
         self.chol = np.tile(np.eye(dim), (B, 1, 1))
 
     def select(self, idx: np.ndarray) -> "_ChainState":
@@ -305,7 +293,6 @@ def _metropolis_block(
     state: _ChainState,
     streams: Sequence[np.random.Generator],
     T: int,
-    config: RwmConfig,
     warmup: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance B chains through T iterations, in lockstep.
@@ -357,7 +344,7 @@ def _metropolis_block(
                 state.z = np.where(take[:, None], prop, state.z)
                 state.lp = np.where(take, lp_prop, state.lp)
                 if t < warmup:
-                    state.log_step += (t + 1.0) ** (-0.6) * (alpha - config.target_accept)
+                    state.log_step += (t + 1.0) ** (-0.6) * (alpha - _TARGET_ACCEPT)
                     if t >= adapt_from:
                         count += 1
                         delta = state.z - mean
@@ -376,47 +363,75 @@ def _metropolis_block(
     return keep, accepts
 
 
-def rwm_sample(
-    log_density,
-    dim: int,
-    config: RwmConfig,
-    rng: np.random.Generator,
-    M: int = 100,
-    init: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """Adaptive Gaussian-proposal Metropolis on one target.
-
-    Adapts the proposal (global scale and covariance) toward the target
-    acceptance during warmup, keeps every ``thin``-th post-warmup state until
-    M draws accumulate, and reports the post-warmup acceptance rate plus the
-    minimum effective sample size across dimensions of the unthinned
-    post-warmup chain. Zero post-warmup acceptance raises
-    :class:`SamplerError`.
-    """
-    retained = config.retained if config.retained is not None else M * config.thin
-    if retained < M * config.thin:
-        raise ValueError("retained must cover M * thin iterations")
-    T = config.warmup + retained
-    z0 = np.zeros((1, dim)) if init is None else np.asarray(init, float)[None, :]
-
-    def batch(zs: np.ndarray) -> np.ndarray:
-        return np.array([log_density(row) for row in zs])
-
-    lp0 = batch(z0)
-    if not np.all(np.isfinite(lp0)):
-        raise SamplerError("log density not finite at the initial point")
-    state = _ChainState(z0, lp0, config.init_step)
-    keep, accepts = _metropolis_block(batch, state, [rng], T, config, config.warmup)
-    if accepts[0] == 0:
-        raise SamplerError("zero acceptance after warmup")
-    chain = keep[0]
-    draws = chain[config.thin - 1 :: config.thin][:M]
-    return draws, float(accepts[0] / retained), _ess_min(chain)
-
-
 def _ess_min(chain: np.ndarray) -> float:
     """Minimum effective sample size over the columns of a (T, dim) chain."""
     return float(min(ess(chain[:, d]).ess for d in range(chain.shape[1])))
+
+
+def _thinned_chains(log_density_for, dim, M, thin, streams):
+    """Adaptive Metropolis for one lockstep group of chains.
+
+    Chain b draws from ``streams[b]`` and targets the log density that
+    ``log_density_for(idx)`` returns for the chains ``idx``, an index array
+    into the group: a function of their (len(idx), dim) positions. Every
+    chain starts at the origin, adapts through ``_WARMUP`` iterations and
+    then runs a base block of M * thin iterations with the kernel frozen.
+    Chains whose minimum effective sample size is still below ``_MIN_ESS``
+    are extended by blocks of the same length, at most ``_MAX_EXTENSIONS``,
+    and the M draws are re-thinned evenly over the whole kept chain. Returns,
+    per chain, its (M, dim) draws or a :class:`SamplerError`: for zero
+    post-warmup acceptance, or for missing the target after the last
+    extension.
+
+    Each chain's kept iterations stay in the blocks they were run in
+    (``segments``) and are joined only for one chain at a time, so a group
+    holds its base block plus the extension blocks, never a second copy of
+    them.
+    """
+    B = len(streams)
+    block = M * thin
+    log_density = log_density_for(np.arange(B))
+    z0 = np.zeros((B, dim))
+    state = _ChainState(z0, log_density(z0))
+    keep, accepts = _metropolis_block(log_density, state, streams, _WARMUP + block, _WARMUP)
+    segments = [[row] for row in keep]
+
+    def chain(b: int) -> np.ndarray:
+        return segments[b][0] if len(segments[b]) == 1 else np.concatenate(segments[b])
+
+    failed: dict[int, SamplerError] = {}
+    for b in range(B):
+        if accepts[b] == 0:
+            failed[b] = SamplerError("zero acceptance after warmup")
+    pending = [b for b in range(B) if b not in failed and _ess_min(chain(b)) < _MIN_ESS]
+    for _ in range(_MAX_EXTENSIONS):
+        if not pending:
+            break
+        idx = np.asarray(pending)
+        sub = state.select(idx)
+        kept, acc = _metropolis_block(
+            log_density_for(idx), sub, [streams[b] for b in pending], block, warmup=0
+        )
+        state.z[idx] = sub.z
+        state.lp[idx] = sub.lp
+        for j, b in enumerate(pending):
+            segments[b].append(kept[j])
+            accepts[b] += acc[j]
+        pending = [b for b in pending if _ess_min(chain(b)) < _MIN_ESS]
+    for b in pending:
+        failed[b] = SamplerError(
+            f"min ESS below {_MIN_ESS:g} after {_MAX_EXTENSIONS} chain extensions"
+        )
+    out: list[np.ndarray | SamplerError] = []
+    for b in range(B):
+        if b in failed:
+            out.append(failed[b])
+            continue
+        kept_chain = chain(b)
+        stride = kept_chain.shape[0] // M
+        # a copy, so that the group's kept chains are freed on return
+        out.append(kept_chain[stride - 1 :: stride][:M].copy())
+    return out
 
 
 class RwmSimplexFamily:
@@ -424,47 +439,34 @@ class RwmSimplexFamily:
 
     Batched across simulations: every simulation keeps its own stream,
     proposal noise is drawn per simulation in fixed-size blocks, and chains
-    step in lockstep, so results do not depend on how simulations are
-    grouped. After warmup each chain runs a base block of M * thin
-    iterations; chains whose minimum effective sample size is still below
-    ``min_ess`` are extended (kernel frozen) in further blocks, and the M
-    returned draws are re-thinned evenly over the whole kept chain. A chain
-    with zero post-warmup acceptance, or still short of the target after
-    ``max_extensions`` blocks, fails with :class:`SamplerError` and is
-    excluded upstream.
+    step in lockstep (:func:`_thinned_chains`), so results do not depend on
+    how simulations are grouped. The thinning stride ``thin`` is the one
+    setting; the sampler's tuning is fixed. A chain that fails raises
+    :class:`SamplerError` from ``sample`` and is returned as one from
+    ``sample_batch``, and is excluded upstream.
     """
 
-    def __init__(
-        self,
-        variant: str,
-        config: RwmConfig | None = None,
-        min_ess: float = 100.0,
-        max_extensions: int = 9,
-    ):
+    def __init__(self, variant: str):
         self.variant = variant
         self.dim = unconstrained_dim(variant)
-        self.config = config if config is not None else RwmConfig()
-        self.min_ess = min_ess
-        self.max_extensions = max_extensions
         self.name = variant
 
-    def sample(self, data, M, rng, thin=None):
+    def sample(self, data, M, rng, thin):
         out = self.sample_batch([data], M, [rng], thin)
         if isinstance(out[0], SamplerError):
             raise out[0]
         return out[0]
 
-    def sample_batch(self, datas, M, streams, thin=None):
-        config = self.config
-        if thin is not None and thin != config.thin:
-            config = replace(config, thin=thin)
-        block = config.retained if config.retained is not None else M * config.thin
-        if block < M * config.thin:
-            raise ValueError("retained must cover M * thin iterations")
+    def sample_batch(self, datas, M, streams, thin):
         ys = np.asarray(datas, dtype=float)
         norm = _multinomial_norm(ys)
+
+        def log_density_for(idx: np.ndarray):
+            rows, row_norm = ys[idx], norm[idx]
+            return lambda zs: _log_posterior_batch(self.variant, zs, rows, row_norm)[0]
+
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = self._thinned_chains(ys, norm, M, list(streams), config, block)
+            out = _thinned_chains(log_density_for, self.dim, M, thin, list(streams))
             done = [b for b, o in enumerate(out) if not isinstance(o, SamplerError)]
             if done:
                 # one kernel call maps the picks of every chain to the simplex
@@ -477,74 +479,6 @@ class RwmSimplexFamily:
                 xs = np.ascontiguousarray(xs)
                 for j, b in enumerate(done):
                     out[b] = xs[j * M : (j + 1) * M]
-        return out
-
-    def _thinned_chains(self, ys, norm, M, streams, config, block):
-        """Per chain, M draws on the unconstrained scale or a SamplerError.
-
-        Each chain's kept iterations stay in the blocks they were run in
-        (``segments``) and are joined only for one chain at a time, so a
-        group holds its base block plus the extension blocks, never a
-        second copy of them.
-        """
-        B = ys.shape[0]
-
-        def batch_for(rows: np.ndarray, row_norm: np.ndarray):
-            def batch(zs: np.ndarray) -> np.ndarray:
-                lp, _ = _log_posterior_batch(self.variant, zs, rows, row_norm)
-                return lp
-
-            return batch
-
-        z0 = np.zeros((B, self.dim))
-        state = _ChainState(z0, batch_for(ys, norm)(z0), config.init_step)
-        keep, accepts = _metropolis_block(
-            batch_for(ys, norm), state, streams, config.warmup + block, config, config.warmup
-        )
-        segments = [[row] for row in keep]
-
-        def chain(b: int) -> np.ndarray:
-            return segments[b][0] if len(segments[b]) == 1 else np.concatenate(segments[b])
-
-        failed: dict[int, SamplerError] = {}
-        for b in range(B):
-            if accepts[b] == 0:
-                failed[b] = SamplerError("zero acceptance after warmup")
-        pending = [
-            b for b in range(B) if b not in failed and _ess_min(chain(b)) < self.min_ess
-        ]
-        for _ in range(self.max_extensions):
-            if not pending:
-                break
-            idx = np.asarray(pending)
-            sub = state.select(idx)
-            kept, acc = _metropolis_block(
-                batch_for(ys[idx], norm[idx]),
-                sub,
-                [streams[b] for b in pending],
-                block,
-                config,
-                warmup=0,
-            )
-            state.z[idx] = sub.z
-            state.lp[idx] = sub.lp
-            for j, b in enumerate(pending):
-                segments[b].append(kept[j])
-                accepts[b] += acc[j]
-            pending = [b for b in pending if _ess_min(chain(b)) < self.min_ess]
-        for b in pending:
-            failed[b] = SamplerError(
-                f"min ESS below {self.min_ess:g} after {self.max_extensions} chain extensions"
-            )
-        out: list[np.ndarray | SamplerError] = []
-        for b in range(B):
-            if b in failed:
-                out.append(failed[b])
-                continue
-            kept_chain = chain(b)
-            stride = kept_chain.shape[0] // M
-            # a copy, so that the group's kept chains are freed on return
-            out.append(kept_chain[stride - 1 :: stride][:M].copy())
         return out
 
 

@@ -214,6 +214,19 @@ class TestExitCodes:
         assert run_cli("run", "--model", "nosuch") == 1
         assert "valid models" in capsys.readouterr().err
 
+    def test_model_list_only_for_model_mistakes(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "nosuch"}))
+        for argv, listed in (
+            (["run", "--model", "gaussian", "--sims", "0"], False),
+            (["run", "--model", "gaussian", "--variant", "bogus"], False),
+            (["run", "--model", "gaussian", "--sims", "abc"], False),
+            (["run"], True),
+            (["run", "--config", str(config)], True),
+        ):
+            assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+            assert ("valid models" in capsys.readouterr().err) == listed, argv
+
     @pytest.mark.parametrize("flag", ["--sims", "--draws", "--step", "--thin"])
     def test_counts_below_one_rejected_before_running(self, flag, tmp_path, capsys):
         out = tmp_path / "out"

@@ -13,7 +13,10 @@ that still had six Gaussian posterior classes and separate scalar simplex
 transforms, before any source edit of the change that folded them. So
 were the digests of each Gaussian variant's raw draws and log densities
 below: a last-bit change in the draws seldom moves a rank, so the run
-digests alone would not see it.
+digests alone would not see it. The digests of simplex softmax-fixed were
+taken on the code that still had a one-chain Metropolis entry point and a
+sampler settings object next to the lockstep driver, before any source edit
+of the change that removed them.
 """
 
 import hashlib
@@ -103,6 +106,15 @@ GOLDEN = {
             "ranks.csv": "bb09e30508335be0e35e9b0bb4fd24ebd35f9d0dc30409b0adb96b278b80d836",
             "report.json": "a54102f905694547be94c6a136e2f01927db6673b8dff1ec9b861ee1a4bbd907",
             "evolution.csv": "a4950abe7779c08d7a4afc8ac1e4cacf21cd84069e6fe90d974c1c5fd0fbb3ef",
+        },
+    ),
+    "simplex-softmax-fixed": (
+        ["--model", "simplex", "--variant", "softmax-fixed", "--sims", "16", "--draws", "20", "--step", "8"],
+        0,
+        {
+            "ranks.csv": "c164c27af204167b5bcf4c1cf503d55abbe6423386008b099ffbbd37bab59958",
+            "report.json": "995e5036915aba95ddff31f5e3ee463a5827b0652c94c2b718b8beaee3173311",
+            "evolution.csv": "47f0bab3bca0014a33da3a9fa49528021fe447ddd4321e241c8ff37a1540952d",
         },
     ),
     "simplex-gamma": (

@@ -147,39 +147,77 @@ class TestLogPosterior:
             sx.log_posterior("nosuch", np.zeros(3), np.array([1, 2, 3, 4]))
 
 
-class TestRwmSampler:
-    def test_standard_normal_2d_target(self):
-        def target(z):
-            return -0.5 * float(z @ z)
+def standard_normal(shift=0.0):
+    """``log_density_for`` of a standard-normal target, the same for every chain."""
 
-        draws, acc, ess_min = sx.rwm_sample(
-            target, 2, sx.RwmConfig(warmup=500, thin=2), stream(8, 0), M=5000
-        )
+    def log_density_for(idx):
+        return lambda zs: -0.5 * (zs * zs).sum(axis=1) + shift
+
+    return log_density_for
+
+
+def record_blocks(monkeypatch):
+    """Wrap ``_metropolis_block``: each call appends (chains, T, accepts) to the list returned."""
+    calls = []
+    original = sx._metropolis_block
+
+    def recording(log_density_batch, state, streams, T, *rest, **kwargs):
+        keep, accepts = original(log_density_batch, state, streams, T, *rest, **kwargs)
+        calls.append((len(streams), T, accepts.copy()))
+        return keep, accepts
+
+    monkeypatch.setattr(sx, "_metropolis_block", recording)
+    return calls
+
+
+class TestRwmSampler:
+    def test_standard_normal_2d_target(self, monkeypatch):
+        blocks = record_blocks(monkeypatch)
+        [draws] = sx._thinned_chains(standard_normal(), 2, 5000, 2, [stream(8, 0)])
         assert abs(draws[:, 0].mean()) < 0.05 and abs(draws[:, 1].mean()) < 0.05
         assert abs(draws[:, 0].var() - 1.0) < 0.1
-        assert 0.15 < acc < 0.55
-        assert ess_min > 100
+        # one block: the base chain already met the ESS target
+        [(_, T, accepts)] = blocks
+        assert 0.15 < accepts[0] / (T - sx._WARMUP) < 0.55
 
-    def test_acceptance_uses_only_density_difference(self):
+    def test_acceptance_uses_only_density_difference(self, monkeypatch):
         # an unnormalized target (constant log shift) must sample the same law
-        def t1(z):
-            return -0.5 * float(z @ z)
-
-        def t2(z):
-            return -0.5 * float(z @ z) + 123.0
-
-        a, acc_a, _ = sx.rwm_sample(t1, 2, sx.RwmConfig(warmup=500, thin=2), stream(9, 0), M=4000)
-        b, acc_b, _ = sx.rwm_sample(t2, 2, sx.RwmConfig(warmup=500, thin=2), stream(9, 0), M=4000)
-        assert acc_a == pytest.approx(acc_b, abs=0.02)
+        blocks = record_blocks(monkeypatch)
+        [a] = sx._thinned_chains(standard_normal(), 2, 4000, 2, [stream(9, 0)])
+        [b] = sx._thinned_chains(standard_normal(123.0), 2, 4000, 2, [stream(9, 0)])
+        (_, T, acc_a), (_, _, acc_b) = blocks
+        kept = T - sx._WARMUP
+        assert acc_a[0] / kept == pytest.approx(acc_b[0] / kept, abs=0.02)
         np.testing.assert_allclose(a.mean(axis=0), b.mean(axis=0), atol=0.08)
         np.testing.assert_allclose(a.var(axis=0), b.var(axis=0), atol=0.12)
 
     def test_infinite_init_rejected(self):
-        def target(z):
-            return -np.inf
+        def nowhere(idx):
+            return lambda zs: np.full(len(zs), -np.inf)
 
-        with pytest.raises(sx.SamplerError):
-            sx.rwm_sample(target, 2, sx.RwmConfig(warmup=100, thin=1), stream(10, 0), M=50)
+        with np.errstate(invalid="ignore"):
+            out = sx._thinned_chains(nowhere, 2, 50, 1, [stream(10, 0)])
+        assert isinstance(out[0], sx.SamplerError)
+        assert str(out[0]) == "zero acceptance after warmup"
+
+    def test_extensions_until_the_ess_target(self, monkeypatch):
+        # thin=1 makes the base block too short for the target: only chains
+        # still short are extended, and one still short after the last
+        # extension fails
+        blocks = record_blocks(monkeypatch)
+        B, M = 8, 100
+        out = sx._thinned_chains(standard_normal(), 2, M, 1, [stream(33, i) for i in range(B)])
+        assert blocks[0][:2] == (B, sx._WARMUP + M)
+        assert all(T == M for _, T, _ in blocks[1:]) and len(blocks) <= 1 + sx._MAX_EXTENSIONS
+        chains = [n for n, _, _ in blocks]
+        assert chains == sorted(chains, reverse=True) and chains[-1] < B
+        assert any(isinstance(o, sx.SamplerError) for o in out)
+        for o in out:
+            if isinstance(o, sx.SamplerError):
+                assert len(blocks) == 1 + sx._MAX_EXTENSIONS
+                assert str(o) == "min ESS below 100 after 9 chain extensions"
+            else:
+                assert o.shape == (M, 2)
 
     def test_blocked_noise_matches_one_shot_draws(self):
         # Frozen kernel (warmup=0, identity proposal): the reference draws each
@@ -189,15 +227,14 @@ class TestRwmSampler:
             return -0.5 * (zs * zs).sum(axis=1)
 
         B, dim, lengths = 3, 2, (2 * sx._NOISE_BLOCK + 37, sx._NOISE_BLOCK + 5)
-        config = sx.RwmConfig(warmup=100, thin=1)
         z0 = np.zeros((B, dim))
-        state = sx._ChainState(z0, target(z0), config.init_step)
+        state = sx._ChainState(z0, target(z0))
         streams = [stream(40, i) for i in range(B)]
-        blocked = [sx._metropolis_block(target, state, streams, T, config, 0)[0] for T in lengths]
+        blocked = [sx._metropolis_block(target, state, streams, T, 0)[0] for T in lengths]
 
         ref_streams = [stream(40, i) for i in range(B)]
         z, lp = z0.copy(), target(z0)
-        step = np.exp(np.full(B, np.log(config.init_step)))[:, None]
+        step = np.exp(np.full(B, np.log(sx._INIT_STEP)))[:, None]
         for T, got in zip(lengths, blocked):
             normals = np.stack([r.standard_normal((T, dim)) for r in ref_streams])
             uniforms = np.stack([r.uniform(size=T) for r in ref_streams])
@@ -219,12 +256,6 @@ class TestRwmSampler:
         np.testing.assert_array_equal(out[0], np.linalg.cholesky(good))
         np.testing.assert_array_equal(out[1], previous[1])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            sx.RwmConfig(warmup=10)
-        with pytest.raises(ValueError):
-            sx.RwmConfig(thin=0)
-
 
 class TestBatchedFamily:
     def test_batch_grouping_does_not_change_results(self):
@@ -232,31 +263,23 @@ class TestBatchedFamily:
         datas = [gen.generate(stream(11, i))[1] for i in range(6)]
         fam = sx.RwmSimplexFamily("min")
         streams_a = [stream(12, i) for i in range(6)]
-        all_at_once = fam.sample_batch(datas, 50, streams_a)
-        one_alone = fam.sample(datas[3], 50, stream(12, 3))
+        all_at_once = fam.sample_batch(datas, 50, streams_a, 20)
+        one_alone = fam.sample(datas[3], 50, stream(12, 3), 20)
         np.testing.assert_array_equal(all_at_once[3], one_alone)
 
     def test_grouping_holds_through_extensions_and_noise_blocks(self, monkeypatch):
-        config = sx.RwmConfig(warmup=150, thin=3)
-        M = 40
-        T = config.warmup + M * config.thin
-        assert T > sx._NOISE_BLOCK and T % sx._NOISE_BLOCK != 0
-        fam = sx.RwmSimplexFamily("min", config=config, min_ess=40.0)
+        M, thin = 40, 5
+        assert (sx._WARMUP + M * thin) % sx._NOISE_BLOCK != 0
+        assert (M * thin) % sx._NOISE_BLOCK != 0
+        fam = sx.RwmSimplexFamily("min")
         gen = sx.SimplexGenerator()
         datas = [gen.generate(stream(31, i))[1] for i in range(6)]
-        group_sizes = []
-        original = sx._metropolis_block
-
-        def counting(log_density_batch, state, streams, *rest, **kwargs):
-            group_sizes.append(len(streams))
-            return original(log_density_batch, state, streams, *rest, **kwargs)
-
-        monkeypatch.setattr(sx, "_metropolis_block", counting)
-        grouped = fam.sample_batch(datas, M, [stream(32, i) for i in range(6)])
-        assert len(group_sizes) >= 3  # the base block and at least two extensions
+        blocks = record_blocks(monkeypatch)
+        grouped = fam.sample_batch(datas, M, [stream(32, i) for i in range(6)], thin)
+        assert len(blocks) >= 3  # the base block and at least two extensions
         assert any(isinstance(g, np.ndarray) for g in grouped)
         for i in range(6):
-            alone = fam.sample_batch([datas[i]], M, [stream(32, i)])[0]
+            alone = fam.sample_batch([datas[i]], M, [stream(32, i)], thin)[0]
             if isinstance(grouped[i], sx.SamplerError):
                 assert isinstance(alone, sx.SamplerError) and str(alone) == str(grouped[i])
             else:
@@ -266,8 +289,24 @@ class TestBatchedFamily:
         gen = sx.SimplexGenerator()
         datas = [gen.generate(stream(13, i))[1] for i in range(24)]
         fam = sx.RwmSimplexFamily("softmax-fixed")
-        out = fam.sample_batch(datas, 100, [stream(14, i) for i in range(24)])
+        out = fam.sample_batch(datas, 100, [stream(14, i) for i in range(24)], 20)
         assert all(isinstance(o, np.ndarray) for o in out)
+
+
+class TestQuantities:
+    def test_log_prior_and_log_lik_match_scipy(self):
+        from scipy import stats
+
+        rng = stream(34, 0)
+        draws = np.sort(rng.dirichlet(sx.ALPHA, size=200), axis=1)
+        library = {q.name: q.evaluator for q in sx.quantity_library()}
+        for y in (np.array([0, 0, 0, 10]), np.array([1, 2, 3, 4]), np.array([3, 0, 5, 2])):
+            np.testing.assert_allclose(
+                library["log_prior"](draws, y), stats.dirichlet.logpdf(draws.T, sx.ALPHA), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                library["log_lik"](draws, y), stats.multinomial.logpmf(y, sx.N_TRIALS, draws), rtol=1e-12
+            )
 
 
 class TestGeneratorAndExactSampler:
