@@ -192,6 +192,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         messages = [m for _, q, m in run.quantity_errors if q == name]
         warning = f"quantity {name} failed in {len(messages)} simulations; first: {messages[0]}"
         print(f"warning: {warning}", file=sys.stderr)
+    failed_in: dict[str, list[int]] = {}
+    for index, message in run.failures:
+        failed_in.setdefault(message, []).append(index)
+    for message, indices in failed_in.items():
+        warning = f"{len(indices)} simulations failed (first: simulation {indices[0]}): {message}"
+        print(f"warning: {warning}", file=sys.stderr)
     write_evolution_csv(traces, out_dir / "evolution.csv")
     if not names:
         print("error: no quantity was ranked in any simulation", file=sys.stderr)

@@ -273,7 +273,7 @@ def test_c06_non_monotonic_counterexample(non_monotonic_batch):
         "6 non-monotonic counterexample",
         ok,
         f"mu pass {keep:.2f}; abs within 500 {detect_abs:.2f}; drop within 500 "
-        f"{detect_drop:.2f} (known shortfall: measured per-seed power ~0.75); split halves "
+        f"{detect_drop:.2f} (known shortfall); split halves "
         f"{res_pos.log_ratio:.1f}/{res_neg.log_ratio:.1f} unsplit {res_all.log_ratio:.2f}",
     )
 

@@ -1,9 +1,16 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from sbc_lab.binomial import log_binom_pmf, log_binom_tables, log_binom_tail_minima
+from sbc_lab.binomial import (
+    log_binom_pmf,
+    log_binom_tables,
+    log_binom_tail_checkpoints,
+    log_binom_tail_minima,
+)
 
 
 def test_pmf_matches_scipy_in_safe_range():
@@ -62,3 +69,47 @@ def test_tail_minima_equal_full_tables_bit_for_bit(M):
             got = log_binom_tail_minima(n, p)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (n, p.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 64), st.sampled_from([99, 100, 370, 1000])),
+    M=st.sampled_from([1, 2, 5, 100, 250]),
+    every=st.integers(1, 40),
+    past_n=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_lookups_equal_the_table_bit_for_bit(n, M, every, past_n, seed):
+    # the z grid ends in the point mass z = 1; p = 0 is the other point mass
+    p = np.concatenate([[0.0], np.arange(1, M + 2) / (M + 1)])
+    every = n + every if past_n else every
+    table = log_binom_tail_minima(n, p)
+    built, checkpoints = log_binom_tail_checkpoints(n, p, every)
+    assert built.tobytes() == table.tobytes()
+    rng = np.random.default_rng(seed)
+    # the ends, uniform counts (mostly deep in one tail) and binomial counts
+    # (mostly inside the window where both tails are read)
+    counts = np.concatenate(
+        [
+            np.tile([0, n], (p.size, 1)),
+            rng.integers(0, n + 1, size=(p.size, 4)),
+            rng.binomial(n, p[:, None], size=(p.size, 4)),
+        ],
+        axis=1,
+    )
+    got = checkpoints.entries(counts)
+    assert got.tobytes() == np.take_along_axis(table, counts, axis=1).tobytes()
+
+
+def test_checkpoints_keep_the_used_half_of_each_tail():
+    n, every = 1000, 16
+    p = np.arange(1, 102) / 101
+    _, checkpoints = log_binom_tail_checkpoints(n, p, every)
+    resumed = checkpoints.whole_at < 0
+    assert resumed.sum() == 100  # all but the point mass z = 1
+    lower = np.diff(np.append(checkpoints.lower_at, checkpoints.lower.size))
+    upper = np.diff(np.append(checkpoints.upper_at, checkpoints.upper.size))
+    assert np.array_equal(lower[resumed], checkpoints.hi[resumed] // every + 1)
+    assert np.array_equal(upper[resumed], (n - checkpoints.lo[resumed]) // every + 1)
+    assert checkpoints.whole.shape == (1, n + 1)
+    assert checkpoints.nbytes < log_binom_tail_minima(n, p).nbytes / 10

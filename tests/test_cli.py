@@ -11,6 +11,7 @@ import pytest
 import sbc_lab
 from sbc_lab import cli
 from sbc_lab.cli import main
+from sbc_lab.core import SamplerError, run_sbc
 from sbc_lab.core import TestQuantity as Quantity
 from sbc_lab.diagnostics import RankSet, chi_square_uniformity, default_chi2_bins, gamma_result
 from sbc_lab.models import gaussian
@@ -175,8 +176,13 @@ class TestExitCodes:
         always_nan = False
         out = tmp_path / "some"
         assert run_cli(*argv, "--out", str(out)) == 0
-        assert capsys.readouterr().err == ""
         report = json.loads(read(out / "report.json"))
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"warning: {report['failures']} simulations failed \(first: simulation \d+\): "
+            r"SamplerError: family returned NaN in 1 of 50 draws\n",
+            err,
+        ), err
         ranks, _ = read_ranks_csv(out / "ranks.csv")
         assert 0 < report["failures"] < 200 and report["quantity_errors"] == 0
         assert all(r.size == 200 - report["failures"] for r in ranks.values())
@@ -185,9 +191,58 @@ class TestExitCodes:
         always_nan = True
         out = tmp_path / "all"
         assert run_cli(*argv, "--out", str(out)) == 1
-        assert capsys.readouterr().err == "error: no quantity was ranked in any simulation\n"
+        assert capsys.readouterr().err == (
+            "warning: 200 simulations failed (first: simulation 0): "
+            "SamplerError: family returned NaN in 1 of 50 draws\n"
+            "error: no quantity was ranked in any simulation\n"
+        )
         assert json.loads(read(out / "report.json"))["failures"] == 200
         assert not (out / "evolution.svg").exists()
+
+    def test_failed_simulations_are_reported_by_message(self, tmp_path, monkeypatch, capsys):
+        def failing_family(variant, n):
+            family = gaussian.make_variant(variant, n)
+
+            class Failing:
+                name = family.name
+
+                def sample(self, y, M, rng, thin=1):
+                    if y[0, 0] > 1.0:
+                        raise SamplerError("too high")
+                    if y[0, 0] < -1.0:
+                        raise FloatingPointError("too low")
+                    return family.sample(y, M, rng, thin)
+
+            return Failing()
+
+        runs = []
+
+        def keep_run(*args, **kwargs):
+            runs.append(run_sbc(*args, **kwargs))
+            return runs[-1]
+
+        spec = cli.MODELS["gaussian"]
+        failing = dataclasses.replace(spec, family=failing_family)
+        monkeypatch.setitem(cli.MODELS, "gaussian-failing", failing)
+        monkeypatch.setattr(cli, "run_sbc", keep_run)
+        out = tmp_path / "out"
+        argv = ["--model", "gaussian-failing", "--out", str(out), "--no-timestamp"]
+        assert run_cli(*BASE, *argv) in (0, 2)
+        [run] = runs
+        ranked = {int(line.split(",")[0]) for line in read(out / "ranks.csv").splitlines()[1:]}
+        assert sorted(i for i, _ in run.failures) == sorted(set(range(120)) - ranked)
+        high = [i for i, m in run.failures if m == "SamplerError: too high"]
+        low = [i for i, m in run.failures if m == "FloatingPointError: too low"]
+        assert high and low and len(high) + len(low) == len(run.failures)
+        lines = [
+            f"warning: {len(high)} simulations failed (first: simulation {high[0]}): "
+            "SamplerError: too high",
+            f"warning: {len(low)} simulations failed (first: simulation {low[0]}): "
+            "FloatingPointError: too low",
+        ]
+        # one line per message, in the order of their first failures
+        assert capsys.readouterr().err.splitlines() == (lines if high[0] < low[0] else lines[::-1])
+        assert json.loads(read(out / "report.json"))["failures"] == len(run.failures)
 
     def test_no_complete_quantity_skips_the_evolution_figure(self, tmp_path, monkeypatch, capsys):
         def low(draws, y):

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sbc_lab import diagnostics
 from sbc_lab.binomial import log_binom_tables
 from sbc_lab.cli import main
+from sbc_lab.core import run_sbc
 from sbc_lab.diagnostics import (
     _NULL_STREAM,
     NULL_CALIBRATION_SEED,
     RankSet,
     _null_cache,
     _null_rows,
+    _TailStore,
     chi_square_uniformity,
     ecdf_band,
     evolution_table,
@@ -24,6 +27,7 @@ from sbc_lab.diagnostics import (
     log_gamma_null_quantile_cached,
     log_gamma_statistic,
 )
+from sbc_lab.models import gaussian
 from sbc_lab.reports import read_ranks_csv
 from sbc_lab.rng import stream
 
@@ -275,6 +279,66 @@ class TestEvolution:
         main(argv + [str(tmp_path / "b")])
         for name in ("report.json", "evolution.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestTailStore:
+    @pytest.mark.parametrize("variant", ["correct", "prior-only"])
+    def test_warm_trace_equals_cold_bit_for_bit(self, variant, monkeypatch):
+        family = gaussian.make_variant(variant, 3)
+        quantities = gaussian.quantity_library(3, family)
+        run = run_sbc(gaussian.GaussianGenerator(3), family, quantities, S=400, M=50, seed=11)
+        ranks = {q: run.ranks(q) for q in run.quantity_names()}
+        sets = [RankSet(r, 50) for r in ranks.values()]
+        monkeypatch.setattr(diagnostics, "_tails", _TailStore(diagnostics._CHECKPOINT_BYTES))
+        _null_cache.clear()
+        cold = evolution_table(ranks, 50, step=10)
+        cold_gammas = [log_gamma_statistic(r) for r in sets]
+        # other tables in between, so that no table of this trace is current
+        evolution_table({"x": stream(5, 0).integers(0, 21, size=77)}, 20, step=7)
+        ecdf_band(123, 50)
+        built = []
+        build = diagnostics.log_binom_tail_checkpoints
+        monkeypatch.setattr(
+            diagnostics,
+            "log_binom_tail_checkpoints",
+            lambda n, p, every: built.append(n) or build(n, p, every),
+        )
+        warm = evolution_table(ranks, 50, step=10)
+        assert [log_gamma_statistic(r) for r in sets] == cold_gammas
+        for a, b in zip(cold, warm):
+            assert a.log_ratio.tobytes() == b.log_ratio.tobytes()
+        # only prefixes too short to be worth resuming for len(ranks) lookups are built
+        every = diagnostics._CHECKPOINT_EVERY
+        assert built == [n for n in cold[0].n_sims if len(ranks) * every > n + 1]
+        assert built[-1] < 400
+
+    def test_bytes_stay_within_the_budget(self):
+        store = _TailStore(100_000)
+        for S in range(100, 1001, 100):
+            store.current(S, 100)
+            assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values())
+            assert store.nbytes <= store.budget
+        assert 0 < len(store.checkpoints) < 10
+        assert list(store.checkpoints)[-1] == (1000, 100)
+
+    def test_least_recently_used_is_dropped_first(self):
+        store = _TailStore(1 << 30)
+        for S in (300, 400, 500):
+            store.current(S, 20)
+        size = {S: store.checkpoints[(S, 20)].nbytes for S in (300, 400, 500)}
+        store.budget = sum(size.values())
+        # a resumed lookup makes (300, 20) the most recently used
+        counts = np.full((21, 1), 150)
+        store.least(counts, 300, 20)
+        assert list(store.checkpoints) == [(400, 20), (500, 20), (300, 20)]
+        store.current(600, 20)
+        assert (400, 20) not in store.checkpoints and (300, 20) in store.checkpoints
+        assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values()) <= store.budget
+        # checkpoints larger than the whole budget are not kept, and evict nothing
+        kept = list(store.checkpoints)
+        store.budget = store.nbytes
+        store.current(5000, 20)
+        assert list(store.checkpoints) == kept
 
 
 class TestEcdfBand:
