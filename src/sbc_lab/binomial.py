@@ -85,6 +85,7 @@ def log_binom_pmf(n: int, p: np.ndarray) -> np.ndarray:
 
 
 def _patched_pmf(n: int, p: np.ndarray, log_comb, log_p, log_q) -> np.ndarray:
+    """:func:`log_binom_pmf` from its terms."""
     out = _log_pmf(n, np.arange(n + 1, dtype=float), log_comb, log_p[:, None], log_q[:, None])
     # patch the 0 * log(0) = nan cases: p in {0, 1} are point masses
     zero = p == 0.0
@@ -134,7 +135,7 @@ def log_binom_tail_minima(n: int, p: np.ndarray) -> np.ndarray:
 
 def log_binom_tail_checkpoints(
     n: int, p: np.ndarray, every: int
-) -> tuple[np.ndarray, "TailCheckpoints"]:
+) -> tuple[np.ndarray, TailCheckpoints]:
     """The table of :func:`log_binom_tail_minima` and its tails' checkpoints.
 
     Row j's lower tail is accumulated only up to about hi_j = floor(n p_j) + 2

@@ -301,7 +301,8 @@ def _prefix_nulls(lengths: list[int], M: int, n_mc: int):
     built here unless current, so when a filled (n, ...) is yielded the caller's
     own kernel call at n reads that table too. A hit builds nothing: the
     caller's call then resumes from the checkpoints of an earlier build, and
-    builds the table only when none are stored.
+    builds the table only when none are stored or it has too many rank sets
+    to resume (see ``_TailStore.least``).
     """
     blocks = _null_rows(lengths[-1], M, n_mc)  # lazy: opens the stream on the first miss
     block = np.empty((0, n_mc), dtype=np.int64)
@@ -386,9 +387,10 @@ def evolution_table(
     A prefix whose null is filled by this call reads the table the fill
     built. A prefix whose null was cached reads its table's stored
     checkpoints (see ``_TailStore``), so a trace over cached nulls, as in a
-    loop over seeds or variants, builds no table; only a table whose
-    checkpoints were never kept, or were dropped for the byte budget, is
-    built again.
+    loop over seeds or variants, builds a table again only where the
+    checkpoints were never kept or were dropped for the byte budget, and
+    for short prefixes, where a build costs less than resuming every
+    quantity's lookups.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
