@@ -148,6 +148,8 @@ def _select_quantities(requested: str, library) -> list:
             raise UsageError(
                 f"unknown quantity {name!r}; valid: {', '.join(sorted(available))}"
             )
+        if available[name] in chosen:
+            raise UsageError(f"quantity {name!r} is named twice")
         chosen.append(available[name])
     return chosen
 

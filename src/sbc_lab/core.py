@@ -251,7 +251,8 @@ class SbcRun:
 
 # Memory budget for the kept chains of one lockstep group of a batched
 # family: M * thin_stride float64 parameter vectors per simulation. At
-# M=100, thin=20 and four parameters it gives 524 chains per group.
+# M=100, thin=20 and four parameters it gives 524 chains per group; the
+# Gaussian family's (M, 2) draws at M=100 give 20 971 simulations per group.
 _LOCKSTEP_BYTES = 32 << 20
 
 # Memory budget for one group of the evaluation and ranking loop: the

@@ -165,54 +165,65 @@ class _TailStore:
     """The current tail-minima table, and the tail checkpoints of recent ones.
 
     The table last built is current and is read with ``take``. Each build
-    also leaves its :class:`~sbc_lab.binomial.TailCheckpoints` here, least
-    recently used first, within ``budget`` bytes; a table that is no longer
-    current is then read by resuming its tails from them, bit for bit,
-    rather than built again.
+    also leaves its :class:`~sbc_lab.binomial.TailCheckpoints` in
+    ``checkpoints``, least recently used first, within ``budget`` bytes; a
+    table that is no longer current is then read by resuming its tails from
+    them, bit for bit, rather than built again. A table built a second time
+    (its lookups were too many to resume, or it was read whole) is kept whole
+    there in place of its checkpoints, and becomes current again without a
+    build.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.key: tuple[int, int] | None = None
         self.table = np.empty((0, 0))
-        self.checkpoints: OrderedDict[tuple[int, int], TailCheckpoints] = OrderedDict()
+        self.checkpoints: OrderedDict[tuple[int, int], TailCheckpoints | np.ndarray] = OrderedDict()
         self.nbytes = 0
 
     def current(self, S: int, M: int) -> np.ndarray:
         """[i, k] = min(log P(X <= k), log P(X >= k)) for X ~ Bin(S, z_i), k = 0..S."""
-        if self.key != (S, M):
-            table, checkpoints = log_binom_tail_checkpoints(S, _z_points(M), _CHECKPOINT_EVERY)
-            table.flags.writeable = False
-            self.key, self.table = (S, M), table
-            self._keep((S, M), checkpoints)
+        key = (S, M)
+        if self.key != key:
+            kept = self.checkpoints.get(key)
+            if isinstance(kept, np.ndarray):
+                self.checkpoints.move_to_end(key)
+                table = kept
+            else:
+                table, checkpoints = log_binom_tail_checkpoints(S, _z_points(M), _CHECKPOINT_EVERY)
+                table.flags.writeable = False
+                self._keep(key, checkpoints if kept is None else table)
+            self.key, self.table = key, table
         return self.table
 
-    def _keep(self, key: tuple[int, int], checkpoints: TailCheckpoints) -> None:
+    def _keep(self, key: tuple[int, int], kept: TailCheckpoints | np.ndarray) -> None:
         old = self.checkpoints.pop(key, None)
         if old is not None:
             self.nbytes -= old.nbytes
-        if checkpoints.nbytes > self.budget:
+        if kept.nbytes > self.budget:
             return
-        self.checkpoints[key] = checkpoints
-        self.nbytes += checkpoints.nbytes
+        self.checkpoints[key] = kept
+        self.nbytes += kept.nbytes
         while self.nbytes > self.budget:
             self.nbytes -= self.checkpoints.popitem(last=False)[1].nbytes
 
     def least(self, R: np.ndarray, S: int, M: int) -> np.ndarray:
         """min over i of table[i, R[i, b]], for an (M+1, B) count matrix R of the (S, M) table.
 
-        A current table is read with ``take``. Otherwise the stored
-        checkpoints serve when the columns are few: a lookup resumes up to two
-        tails of _CHECKPOINT_EVERY terms, about the work of that many table
-        entries, so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider R (the
-        null pass's B = n_mc) builds the table. With ``take``, R is
+        A current or whole kept table is read with ``take``. Otherwise the
+        stored checkpoints serve when the columns are few: a lookup resumes up
+        to two tails of _CHECKPOINT_EVERY terms, about the work of that many
+        table entries, so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider R
+        (the null pass's B = n_mc) builds the table. With ``take``, R is
         overwritten with flat table indices, which saves an (M+1, B)
         temporary.
         """
         key = (S, M)
-        if self.key != key and key in self.checkpoints and R.shape[1] * _CHECKPOINT_EVERY <= S + 1:
+        kept = self.checkpoints.get(key)
+        resumable = isinstance(kept, TailCheckpoints) and R.shape[1] * _CHECKPOINT_EVERY <= S + 1
+        if self.key != key and resumable:
             self.checkpoints.move_to_end(key)
-            return self.checkpoints[key].entries(R).min(axis=0)
+            return kept.entries(R).min(axis=0)
         table = self.current(S, M)
         R += np.arange(0, (M + 1) * (S + 1), S + 1)[:, None]
         least = np.full(R.shape[1], np.inf)
@@ -278,6 +289,18 @@ def gamma_null_quantile(
 
 _null_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
+# log gamma_bar, the quantile at a level of a cached null: (S, M, n_mc, level) -> float
+_quantile_cache: dict[tuple[int, int, int, float], float] = {}
+
+
+def _null_quantile(S: int, M: int, n_mc: int, level: float, log_null: np.ndarray) -> float:
+    """``np.quantile(log_null, level)`` of the cached (S, M, n_mc) null, computed once per level."""
+    key = (S, M, n_mc, level)
+    got = _quantile_cache.get(key)
+    if got is None:
+        got = _quantile_cache[key] = float(np.quantile(log_null, level))
+    return got
+
 
 def _null_rows(n: int, M: int, n_mc: int):
     """First n rows of the calibration draw for (M, n_mc), in row blocks.
@@ -341,7 +364,7 @@ def log_gamma_null_quantile_cached(
     if S < 1:
         raise ValueError("S must be at least 1")
     [(_, log_null)] = _prefix_nulls([S], M, n_mc)
-    return float(np.quantile(log_null, level))
+    return _null_quantile(S, M, n_mc, level, log_null)
 
 
 def gamma_result(
@@ -389,8 +412,8 @@ def evolution_table(
     checkpoints (see ``_TailStore``), so a trace over cached nulls, as in a
     loop over seeds or variants, builds a table again only where the
     checkpoints were never kept or were dropped for the byte budget, and
-    for short prefixes, where a build costs less than resuming every
-    quantity's lookups.
+    once for short prefixes, where a build costs less than resuming every
+    quantity's lookups; the store then keeps such a table whole.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
@@ -410,7 +433,7 @@ def evolution_table(
     lengths = _prefix_lengths(S, step)
     log_ratio = np.empty((len(names), len(lengths)))
     for j, (n, log_null) in enumerate(_prefix_nulls(lengths, M, n_mc)):
-        log_bar = float(np.quantile(log_null, level))
+        log_bar = _null_quantile(n, M, n_mc, level, log_null)
         log_ratio[:, j] = _log_gammas_for_matrix(ranks[:, :n], M) - log_bar
     n_sims = np.asarray(lengths, dtype=int)
     return [

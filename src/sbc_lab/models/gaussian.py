@@ -106,20 +106,41 @@ class GaussianPosterior:
         return self.n * y.mean(axis=-2) / (self.n + 1.0)
 
     def sample(self, y, M, rng, thin=1):
-        mean = self._mean(y)
+        return self.sample_batch([y], M, [rng], thin)[0]
+
+    def sample_batch(self, ys, M, streams, thin=1):
+        """(g, M, 2) draws for g datasets, row r from ``streams[r]`` alone.
+
+        Each stream gives its simulation's normals in the order of one
+        ``sample`` call (small-bias's shift first), and the group's arithmetic
+        runs elementwise, with one (M, 2) @ (2, 2) product per simulation, so
+        row r is bit for bit what ``sample(ys[r], M, streams[r])`` returns
+        whatever the grouping. ``thin`` is ignored: the draws are independent.
+        """
+        g = len(streams)
+        y = np.stack(ys)
+        mean = self._mean(y)[..., None, :]
+        z = np.empty((g, M, 2))
+        shift = np.empty((g, 1, 2))
+        for r, rng in enumerate(streams):
+            if self.name == "small-bias":
+                rng.standard_normal(out=shift[r, 0])
+            rng.standard_normal(out=z[r])
         # The correct marginal sd, 1 / sqrt(n + 1), and the MVN draw's
         # sqrt(1 / (n + 1)) differ in the last bit for some n (2, 5, 7, ...);
         # tests/test_golden.py pins each variant's draws with its own.
         sd = 1.0 / np.sqrt(self.n + 1)
         if self.name == "independent-marginals":
-            return mean[None, :] + sd * rng.standard_normal((M, 2))
+            return mean + sd * z
         if self.name == "small-bias":
-            mean = mean + _BIAS_SD * rng.standard_normal(2)
-        draws = mean[None, :] + np.sqrt(self.scale) * rng.standard_normal((M, 2)) @ _CHOL.T
+            mean = mean + _BIAS_SD * shift
+        draws = mean + np.sqrt(self.scale) * z @ _CHOL.T
         if self.name == "non-monotonic":
-            u = ndtr((draws - mean[None, :]) / sd)
-            w = u * u if grand_mean_positive(y) else u * (2.0 - u)
-            return mean[None, :] + sd * ndtri(w)
+            u = ndtr((draws - mean) / sd)
+            # grand_mean_positive of each dataset, as one reduction per row
+            positive = y.reshape(g, -1).mean(axis=1)[:, None, None] > 0.0
+            w = np.where(positive, u * u, u * (2.0 - u))
+            return mean + sd * ndtri(w)
         return draws
 
     def log_density(self, draws: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -297,6 +297,18 @@ class TestExitCodes:
             run_cli(*BASE, "--quantities", "nope", "--out", str(tmp_path / "x")) == 1
         )
 
+    def test_quantity_named_twice_rejected_before_running(self, tmp_path, capsys):
+        # a repeated name would write its ranks twice, and ranks.csv would read
+        # back as one quantity with 2 S ranks
+        out = tmp_path / "out"
+        assert run_cli(*BASE, "--quantities", "mu[1], sum,mu[1]", "--out", str(out)) == 1
+        assert "error: quantity 'mu[1]' is named twice" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "gaussian", "quantities": "sum,sum", "out": str(out)}))
+        assert run_cli("run", "--config", str(cfg)) == 1
+        assert "error: quantity 'sum' is named twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_with_flag_override(self, tmp_path):

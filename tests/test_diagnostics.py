@@ -281,6 +281,37 @@ class TestEvolution:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+class TestNullQuantileMemo:
+    @pytest.mark.parametrize("levels", [(0.05, 0.1), (0.1, 0.05)])
+    def test_each_level_reads_its_own_quantile(self, levels, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_quantile_cache", {})
+        S, M = 37, 20
+        got = [log_gamma_null_quantile_cached(S, M, level) for level in levels]
+        log_null = _null_cache[(S, M, 5000)]
+        assert np.array_equal(log_null, np.sort(log_null))
+        assert got == [float(np.quantile(log_null, level)) for level in levels]
+        assert got[0] != got[1]
+        # read again, now from the memo, and by an evolution trace ending at S
+        assert [log_gamma_null_quantile_cached(S, M, level) for level in levels] == got
+        ranks = stream(9, 4).integers(0, M + 1, size=S)
+        for level, log_bar in zip(levels, got):
+            trace = evolution_trace(ranks, M, step=S, level=level)
+            assert trace.log_ratio.tolist() == [log_gamma_statistic(RankSet(ranks, M)) - log_bar]
+
+    def test_band_reads_the_trace_final_threshold(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_quantile_cache", {})
+        S, M = 130, 20
+        ranks = stream(7, 1).integers(0, M + 1, size=S)
+        trace = evolution_trace(ranks, M, step=40)
+        keys = list(diagnostics._quantile_cache)
+        band = ecdf_band(S, M, 0.95)
+        # coverage 0.95 reads the trace's level 0.05: no new memo entry
+        assert list(diagnostics._quantile_cache) == keys
+        log_bar = diagnostics._quantile_cache[(S, M, 5000, 0.05)]
+        assert trace.log_ratio[-1] == log_gamma_statistic(RankSet(ranks, M)) - log_bar
+        assert band.pointwise_level == float(np.exp(log_bar))
+
+
 class TestTailStore:
     @pytest.mark.parametrize("variant", ["correct", "prior-only"])
     def test_warm_trace_equals_cold_bit_for_bit(self, variant, monkeypatch):
@@ -311,6 +342,27 @@ class TestTailStore:
         every = diagnostics._CHECKPOINT_EVERY
         assert built == [n for n in cold[0].n_sims if len(ranks) * every > n + 1]
         assert built[-1] < 400
+
+    def test_table_built_again_is_kept_whole(self, monkeypatch):
+        store = _TailStore(1 << 30)
+        table = store.current(100, 20)
+        store.current(200, 20)
+        counts = stream(3, 0).integers(0, 101, size=(21, 20))  # 20 * 16 > 101: too many to resume
+        expected = table[np.arange(21)[:, None], counts].min(axis=0)
+        assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()
+        assert store.checkpoints[(100, 20)] is store.table
+        built = []
+        build = diagnostics.log_binom_tail_checkpoints
+        monkeypatch.setattr(
+            diagnostics,
+            "log_binom_tail_checkpoints",
+            lambda n, p, every: built.append(n) or build(n, p, every),
+        )
+        store.current(200, 20)
+        assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()
+        assert store.least(counts[:, :1].copy(), 100, 20).tobytes() == expected[:1].tobytes()
+        assert built == [200]
+        assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values())
 
     def test_bytes_stay_within_the_budget(self):
         store = _TailStore(100_000)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
+from sbc_lab import core
 from sbc_lab.cli import main
 from sbc_lab.core import run_sbc
 from sbc_lab.diagnostics import RankSet, chi_square_uniformity, evolution_table
@@ -66,6 +68,70 @@ class TestBatchForms:
             expected = np.stack([q.evaluator(draws[r], datasets[r]) for r in range(g)])
             assert got.shape == (g, M + 1), q.name
             assert got.tobytes() == expected.tobytes(), q.name
+
+
+def one_simulation_draws(family, y, M, rng):
+    """The per-simulation formula that ``sample_batch`` replaced: its oracle."""
+    mean = family._mean(y)
+    sd = 1.0 / np.sqrt(family.n + 1)
+    if family.name == "independent-marginals":
+        return mean[None, :] + sd * rng.standard_normal((M, 2))
+    if family.name == "small-bias":
+        mean = mean + gaussian._BIAS_SD * rng.standard_normal(2)
+    draws = mean[None, :] + np.sqrt(family.scale) * rng.standard_normal((M, 2)) @ gaussian._CHOL.T
+    if family.name == "non-monotonic":
+        u = ndtr((draws - mean[None, :]) / sd)
+        w = u * u if gaussian.grand_mean_positive(y) else u * (2.0 - u)
+        return mean[None, :] + sd * ndtri(w)
+    return draws
+
+
+class TestSampleBatch:
+    @staticmethod
+    def check_against_oracle(variant, n, g, M, key):
+        generator, family = gaussian.GaussianGenerator(n), gaussian.make_variant(variant, n)
+        rng = stream(key, 0)
+        ys = [generator.generate(rng)[1] for _ in range(g)]
+        batch_streams = [stream(key, 1 + r) for r in range(g)]
+        oracle_streams = [stream(key, 1 + r) for r in range(g)]
+        got = family.sample_batch(ys, M, batch_streams)
+        expected = np.stack([one_simulation_draws(family, y, M, s) for y, s in zip(ys, oracle_streams)])
+        assert got.shape == (g, M, 2)
+        assert got.tobytes() == expected.tobytes()
+        # each stream is left where one simulation's call leaves it
+        for a, b in zip(batch_streams, oracle_streams):
+            assert a.standard_normal() == b.standard_normal()
+        assert family.sample(ys[-1], M, stream(key, g)).tobytes() == got[-1].tobytes()
+
+    @given(
+        variant=st.sampled_from(gaussian.VARIANT_NAMES),
+        n=st.sampled_from([1, 2, 3, 20]),
+        g=st.integers(min_value=1, max_value=40),
+        M=st.integers(min_value=1, max_value=60),
+        key=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rows_equal_the_per_simulation_formula(self, variant, n, g, M, key):
+        self.check_against_oracle(variant, n, g, M, key)
+
+    @pytest.mark.parametrize("variant", gaussian.VARIANT_NAMES)
+    def test_rows_equal_the_per_simulation_formula_at_g1000(self, variant):
+        self.check_against_oracle(variant, 3, 1000, 100, 17)
+
+    @pytest.mark.parametrize("variant", ["small-bias", "non-monotonic"])
+    def test_lockstep_group_size_leaves_the_run_unchanged(self, variant, monkeypatch):
+        family = gaussian.make_variant(variant, 3)
+        quantities = gaussian.quantity_library(3, family)
+        S, M = 40, 20
+        runs = []
+        for group in (1, 7, S):
+            # run_sbc samples groups of _LOCKSTEP_BYTES // (8 * M * thin * 2) simulations
+            monkeypatch.setattr(core, "_LOCKSTEP_BYTES", group * 8 * M * 2)
+            runs.append(run_sbc(gaussian.GaussianGenerator(3), family, quantities, S=S, M=M, seed=23))
+        for run in runs[1:]:
+            for field in ("sim_index", "n_less", "n_equals", "rank", "evaluated"):
+                assert getattr(run, field).tobytes() == getattr(runs[0], field).tobytes(), field
+            assert (run.failures, run.quantity_errors) == (runs[0].failures, runs[0].quantity_errors)
 
 
 class TestVariantSamplers:
