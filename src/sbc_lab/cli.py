@@ -92,19 +92,13 @@ def _build(model: str, variant: str, n: int):
     return generator, family, spec.quantities(family, n), spec.thin
 
 
-_RUN_KEYS = (
-    "model",
-    "variant",
-    "n",
-    "sims",
-    "draws",
-    "seed",
-    "thin",
-    "quantities",
-    "step",
-    "out",
-    "no_timestamp",
-)
+# The run settings, with the JSON type each takes in a config file.
+_RUN_KEYS = {
+    **dict.fromkeys(("model", "variant", "quantities", "out"), str),
+    **dict.fromkeys(("n", "sims", "draws", "seed", "thin", "step"), int),
+    "no_timestamp": bool,
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
 _RUN_DEFAULTS = {
     "variant": "correct",
     "n": 3,
@@ -123,9 +117,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise UsageError("the config file must hold one JSON object")
         unknown = set(loaded) - set(_RUN_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in loaded.items():
+            if type(value) is not _RUN_KEYS[key]:  # so a float or a bool is no count
+                want = _TYPE_NAMES[_RUN_KEYS[key]]
+                raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
         settings.update(loaded)
     for key in _RUN_KEYS:
         flag = getattr(args, key, None)
@@ -157,17 +157,15 @@ def _select_quantities(requested: str, library) -> list:
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _merge_config(args)
     for key in ("sims", "draws", "step", "thin"):
-        if settings.get(key) is not None and int(settings[key]) < 1:
+        if settings.get(key) is not None and settings[key] < 1:
             raise UsageError(f"--{key} must be at least 1, got {settings[key]}")
     model = settings["model"]
-    generator, family, library, default_thin = _build(
-        model, settings["variant"], int(settings["n"])
-    )
-    thin = int(settings["thin"]) if settings.get("thin") is not None else default_thin
+    generator, family, library, default_thin = _build(model, settings["variant"], settings["n"])
+    thin = settings.get("thin", default_thin)
     quantities = _select_quantities(settings["quantities"], library)
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    S, M, seed = int(settings["sims"]), int(settings["draws"]), int(settings["seed"])
+    S, M, seed = settings["sims"], settings["draws"], settings["seed"]
     run = run_sbc(generator, family, quantities, S=S, M=M, seed=seed, thin_stride=thin)
     # the report keeps a quantity that failed in some simulations, but the
     # evolution trace needs the same prefixes for every quantity
@@ -175,13 +173,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     complete = [q for q in names if run.ranked(q).all()]
     # traced first: its one pass down the calibration draw fills the null of
     # every prefix and ends on the (S, M) table, which the report reuses
-    traces = evolution_table({q: run.ranks(q) for q in complete}, M, step=int(settings["step"]))
+    traces = evolution_table({q: run.ranks(q) for q in complete}, M, step=settings["step"])
 
     write_ranks_csv(run, out_dir / "ranks.csv")
     metadata = {
         "model": model,
         "variant": settings["variant"],
-        "n": int(settings["n"]) if model == "gaussian" else None,
+        "n": settings["n"] if model == "gaussian" else None,
         "S_requested": S,
         "M": M,
         "seed": seed,

@@ -12,8 +12,9 @@ Quantities are evaluated and ranked one group of successful simulations at a
 time: the group's prior and posterior draws are stacked into one
 (g, M+1, dim) array, each quantity is evaluated once over the group through
 its ``batch`` form (or, without one, once per simulation through its
-``evaluator``), and the whole (g, Q, M) block is ranked at once. A single
-simulation goes through the same two steps as a group of one.
+``evaluator``; :func:`group_quantity` writes both as one kernel), and the
+whole (g, Q, M) block is ranked at once. A single simulation goes through
+the same two steps as a group of one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .rng import generation_stream, posterior_stream, tiebreak_stream
 
 __all__ = [
     "TestQuantity",
+    "group_quantity",
     "RankStatistic",
     "SbcRun",
     "SamplerError",
@@ -69,6 +71,23 @@ class TestQuantity:
 
     def __call__(self, theta: np.ndarray, data: Any) -> float:
         return float(self.evaluator(np.asarray(theta, float)[None, :], data)[0])
+
+
+def group_quantity(
+    name: str, kernel: Callable[[np.ndarray, Sequence[Any]], np.ndarray]
+) -> TestQuantity:
+    """A quantity written once, as the group kernel ``kernel(draws, datasets)``.
+
+    The kernel maps (g, N, dim) draws and the g datasets to (g, N) values and
+    is the ``batch`` form; ``evaluator`` runs it on a group of one. A kernel
+    whose row r depends only on ``draws[r]`` and ``datasets[r]``, computed
+    the same way whatever g, thereby meets the ``batch`` contract.
+    """
+
+    def evaluator(draws: np.ndarray, data: Any) -> np.ndarray:
+        return kernel(np.asarray(draws, dtype=float)[None], [data])[0]
+
+    return TestQuantity(name, evaluator, batch=kernel)
 
 
 @dataclass(frozen=True)

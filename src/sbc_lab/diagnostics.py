@@ -197,11 +197,11 @@ class _TailStore:
         return self.table
 
     def _keep(self, key: tuple[int, int], kept: TailCheckpoints | np.ndarray) -> None:
+        if kept.nbytes > self.budget:
+            return  # whatever is stored for the key, such as its checkpoints, stays
         old = self.checkpoints.pop(key, None)
         if old is not None:
             self.nbytes -= old.nbytes
-        if kept.nbytes > self.budget:
-            return
         self.checkpoints[key] = kept
         self.nbytes += kept.nbytes
         while self.nbytes > self.budget:
@@ -282,6 +282,8 @@ def gamma_null_quantile(
 ) -> float:
     """Monte-Carlo quantile of gamma under uniform ranks, deterministic given rng."""
     _check_null_args(level, n_mc)
+    if S < 1:
+        raise ValueError("S must be at least 1")
     ranks = rng.integers(0, M + 1, size=(n_mc, S))
     log_gammas = _log_gammas_for_matrix(ranks, M)
     return float(np.exp(np.quantile(log_gammas, level)))
@@ -472,6 +474,9 @@ class EcdfBand:
     upper: np.ndarray
 
     def contains(self, rank_set: RankSet) -> bool:
+        if (rank_set.S, rank_set.max_rank) != (self.S, self.M):
+            got = f"({rank_set.S}, {rank_set.max_rank})"
+            raise ValueError(f"rank set has (S, M) = {got}, the band ({self.S}, {self.M})")
         R = rank_set.ecdf_counts()
         return bool(np.all(R >= self.lower) and np.all(R <= self.upper))
 

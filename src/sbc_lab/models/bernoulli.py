@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import TestQuantity
+from ..core import TestQuantity, group_quantity
 
 __all__ = [
     "QuantileFamily",
@@ -100,13 +100,13 @@ CORRECT = QuantileFamily(
     pdf=lambda t, y: 2.0 * t if y == 1 else 2.0 - 2.0 * t,
 )
 
-# mirror image of the correct posterior: right data-averaged posterior,
-# wrong conditional-on-data posterior
+# mirror image of the correct posterior, the correct one given the other
+# observation: right data-averaged posterior, wrong conditional-on-data posterior
 PHI_A = QuantileFamily(
     name="phi-A",
-    quantile=lambda x, y: (1.0 - _sqrt(1.0 - x)) if y == 1 else _sqrt(x),
-    cdf=lambda s, y: (2.0 * s - s**2) if y == 1 else s**2,
-    pdf=lambda t, y: (2.0 - 2.0 * t) if y == 1 else 2.0 * t,
+    quantile=lambda x, y: CORRECT.quantile(x, 1 - y),
+    cdf=lambda s, y: CORRECT.cdf(s, 1 - y),
+    pdf=lambda t, y: CORRECT.pdf(t, 1 - y),
 )
 
 
@@ -162,14 +162,7 @@ QUANTITY_NAMES = ("theta", "likelihood", "theta_wrapped", "theta_clamped")
 
 
 def _true_cdf_theta(s: np.ndarray, y: int) -> np.ndarray:
-    s = np.clip(s, 0.0, 1.0)
-    return s**2 if y == 1 else 2.0 * s - s**2
-
-
-def _true_cdf_likelihood(s: np.ndarray, y: int) -> np.ndarray:
-    # value is 1 - theta when y=0, theta when y=1; both have CDF s**2
-    s = np.clip(s, 0.0, 1.0)
-    return s**2
+    return CORRECT.cdf(np.clip(s, 0.0, 1.0), y)
 
 
 def _true_cdf_wrapped(s: np.ndarray, y: int) -> np.ndarray:
@@ -195,10 +188,10 @@ def q_value(family: QuantileFamily, quantity: str, x: np.ndarray, y: int) -> np.
     if quantity == "theta":
         return _true_cdf_theta(family.quantile_at(x, y), y)
     if quantity == "likelihood":
-        if y == 1:
-            return _true_cdf_theta(family.quantile_at(x, y), 1)
-        s = 1.0 - family.quantile_at(1.0 - x, 0)
-        return _true_cdf_likelihood(s, 0)
+        # the value is theta when y=1 and 1 - theta when y=0; both have the
+        # CDF of theta given y=1
+        s = family.quantile_at(x, 1) if y == 1 else 1.0 - family.quantile_at(1.0 - x, 0)
+        return _true_cdf_theta(s, 1)
     if quantity == "theta_wrapped":
         h = float(family.cdf_at(np.array(0.5), y))
         s = np.where(
@@ -391,13 +384,16 @@ class FamilySampler:
 
 
 def quantity_library() -> list[TestQuantity]:
+    def likelihood(d, ys):
+        return np.where(np.equal(ys, 1)[:, None], d[..., 0], 1.0 - d[..., 0])
+
     return [
-        TestQuantity("theta", lambda d, y: d[:, 0]),
-        TestQuantity("likelihood", lambda d, y: d[:, 0] if y == 1 else 1.0 - d[:, 0]),
-        TestQuantity(
-            "theta_wrapped", lambda d, y: np.where(d[:, 0] < 0.5, d[:, 0], d[:, 0] - 1.0)
+        group_quantity("theta", lambda d, ys: d[..., 0]),
+        group_quantity("likelihood", likelihood),
+        group_quantity(
+            "theta_wrapped", lambda d, ys: np.where(d[..., 0] < 0.5, d[..., 0], d[..., 0] - 1.0)
         ),
-        TestQuantity("theta_clamped", lambda d, y: np.minimum(d[:, 0], 0.5)),
+        group_quantity("theta_clamped", lambda d, ys: np.minimum(d[..., 0], 0.5)),
     ]
 
 
@@ -433,8 +429,7 @@ def sample_rank_cdf_prediction(
     w = 0.5 * weights
     out = np.zeros(M + 1)
     for y in (0, 1):
-        s = _sqrt(t) if y == 1 else 1.0 - _sqrt(1.0 - t)
-        p = family.cdf_at(s, y)
+        p = family.cdf_at(CORRECT.quantile(t, y), y)
         cdf = stats.binom.cdf(np.arange(M + 1)[:, None], M, p[None, :])
         out += 0.5 * (cdf * w[None, :]).sum(axis=1)
     return out

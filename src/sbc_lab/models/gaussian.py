@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ..core import TestQuantity
+from ..core import TestQuantity, group_quantity
 
 __all__ = [
     "SIGMA",
@@ -26,7 +26,6 @@ __all__ = [
     "quantity_library",
     "VARIANT_NAMES",
     "grand_mean_positive",
-    "component_mean_positive",
 ]
 
 SIGMA = np.array([[1.0, 0.8], [0.8, 1.0]])
@@ -164,58 +163,31 @@ def grand_mean_positive(y: np.ndarray) -> bool:
     return float(np.mean(y)) > 0.0
 
 
-def component_mean_positive(component: int):
-    """Sign predicate on the mean of one data column (0-based)."""
-
-    def predicate(y: np.ndarray) -> bool:
-        return float(np.mean(y[:, component])) > 0.0
-
-    return predicate
-
-
-def _joint_log_lik(draws: np.ndarray, y: np.ndarray) -> np.ndarray:
-    diff = y[None, :, :] - draws[:, None, :]
-    quad = np.einsum("nki,ij,nkj->nk", diff, _SIGMA_INV, diff)
-    return y.shape[0] * (-_LOG2PI - 0.5 * _LOGDET) - 0.5 * quad.sum(axis=1)
-
-
-def _pointwise_log_lik(draws: np.ndarray, y_k: np.ndarray) -> np.ndarray:
-    diff = y_k[None, :] - draws
-    quad = np.einsum("ni,ij,nj->n", diff, _SIGMA_INV, diff)
-    return -_LOG2PI - 0.5 * _LOGDET - 0.5 * quad
-
-
-# Batch forms over a group's (g, N, 2) draws. Each runs its per-draw kernel's
-# arithmetic on the group's rows laid end to end, the same operations in the
-# same order, so every value equals the per-draw one bit for bit. One
-# exception: einsum orders the terms of a quadratic form differently when it
-# has fewer than three rows, so a simulation that small is evaluated alone.
-_EINSUM_MIN_ROWS = 3
-
-
-def _joint_log_lik_batch(draws: np.ndarray, ys) -> np.ndarray:
+def _log_lik(draws: np.ndarray, ys) -> np.ndarray:
+    """MVN log likelihood of all points of each dataset at each draw of its row."""
     y = np.stack(ys)
-    if draws.shape[1] * y.shape[1] < _EINSUM_MIN_ROWS:
-        return np.stack([_joint_log_lik(d, y_r) for d, y_r in zip(draws, y)])
-    diff = (y[:, None, :, :] - draws[:, :, None, :]).reshape(-1, *y.shape[1:])
-    quad = np.einsum("nki,ij,nkj->nk", diff, _SIGMA_INV, diff)
+    diff = (y[:, None, :, :] - draws[:, :, None, :]).reshape(-1, 2)
+    quad = np.einsum("ni,ij,nj->n", diff, _SIGMA_INV, diff).reshape(-1, y.shape[1])
     out = y.shape[1] * (-_LOG2PI - 0.5 * _LOGDET) - 0.5 * quad.sum(axis=1)
     return out.reshape(draws.shape[:2])
 
 
-def _pointwise_log_lik_batch(draws: np.ndarray, ys, k: int) -> np.ndarray:
-    y_k = np.stack([y[k] for y in ys])
-    if draws.shape[1] < _EINSUM_MIN_ROWS:
-        return np.stack([_pointwise_log_lik(d, y) for d, y in zip(draws, y_k)])
-    diff = (y_k[:, None, :] - draws).reshape(-1, 2)
-    quad = np.einsum("ni,ij,nj->n", diff, _SIGMA_INV, diff)
-    return (-_LOG2PI - 0.5 * _LOGDET - 0.5 * quad).reshape(draws.shape[:2])
+# einsum orders the terms of a quadratic form differently when it has fewer
+# than three rows, so simulations with fewer draws than that are evaluated
+# one at a time, as the evaluator does.
+_EINSUM_MIN_ROWS = 3
 
 
-def _of_draws(name: str, f) -> TestQuantity:
-    """Quantity of the draws alone; ``f`` is elementwise over the last axis, so
-    it serves a (N, 2) simulation and a (g, N, 2) group alike."""
-    return TestQuantity(name, lambda d, y: f(d), batch=lambda d, ys: f(d))
+def _einsum_quantity(name: str, kernel) -> TestQuantity:
+    """Quantity of a group kernel that takes einsum quadratic forms over the
+    group's draws laid end to end."""
+
+    def batch(draws: np.ndarray, ys) -> np.ndarray:
+        if draws.shape[1] < _EINSUM_MIN_ROWS:
+            return np.concatenate([kernel(d[None], [y]) for d, y in zip(draws, ys)])
+        return kernel(draws, ys)
+
+    return group_quantity(name, batch)
 
 
 def quantity_library(n: int, variant=None) -> list[TestQuantity]:
@@ -226,33 +198,30 @@ def quantity_library(n: int, variant=None) -> list[TestQuantity]:
     requesting it for a density-free variant is an error handled upstream.
     """
     quantities = [
-        _of_draws("mu[1]", lambda d: d[..., 0]),
-        _of_draws("mu[2]", lambda d: d[..., 1]),
-        _of_draws("sum", lambda d: d[..., 0] + d[..., 1]),
-        _of_draws("diff", lambda d: d[..., 0] - d[..., 1]),
-        _of_draws("product", lambda d: d[..., 0] * d[..., 1]),
-        TestQuantity("mvn_log_lik", _joint_log_lik, batch=_joint_log_lik_batch),
+        group_quantity("mu[1]", lambda d, ys: d[..., 0]),
+        group_quantity("mu[2]", lambda d, ys: d[..., 1]),
+        group_quantity("sum", lambda d, ys: d[..., 0] + d[..., 1]),
+        group_quantity("diff", lambda d, ys: d[..., 0] - d[..., 1]),
+        group_quantity("product", lambda d, ys: d[..., 0] * d[..., 1]),
+        _einsum_quantity("mvn_log_lik", _log_lik),
         *(  # pointwise log-likelihoods of the first two data points that exist
-            TestQuantity(
+            _einsum_quantity(
                 f"mvn_log_lik[{k + 1}]",
-                lambda d, y, k=k: _pointwise_log_lik(d, y[k]),
-                batch=lambda d, ys, k=k: _pointwise_log_lik_batch(d, ys, k),
+                lambda d, ys, k=k: _log_lik(d, [y[k : k + 1] for y in ys]),
             )
             for k in range(min(n, 2))
         ),
-        _of_draws("abs_mu1", lambda d: np.abs(d[..., 0])),
-        _of_draws("drop_mu1", lambda d: np.where(d[..., 0] < 1.0, d[..., 0], d[..., 0] - 5.0)),
+        group_quantity("abs_mu1", lambda d, ys: np.abs(d[..., 0])),
+        group_quantity(
+            "drop_mu1", lambda d, ys: np.where(d[..., 0] < 1.0, d[..., 0], d[..., 0] - 5.0)
+        ),
     ]
     if getattr(variant, "log_density", None) is not None:
         correct = GaussianPosterior("correct", n)
 
-        def ratio(d, y):
+        def ratio(d, ys):
+            y = np.stack(ys)
             return np.exp(correct.log_density(d, y) - variant.log_density(d, y))
 
-        def ratio_batch(d, ys):
-            if d.shape[1] < _EINSUM_MIN_ROWS:
-                return np.stack([ratio(d_r, y) for d_r, y in zip(d, ys)])
-            return ratio(d, np.stack(ys))
-
-        quantities.append(TestQuantity("density_ratio", ratio, batch=ratio_batch))
+        quantities.append(_einsum_quantity("density_ratio", ratio))
     return quantities

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit, gammaln
 
-from ..core import SamplerError, TestQuantity, ess
+from ..core import SamplerError, TestQuantity, ess, group_quantity
 
 __all__ = [
     "ALPHA",
@@ -156,19 +156,6 @@ def transform_gamma(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def dirichlet_log_density(x: np.ndarray) -> np.ndarray:
-    """Dirichlet(ALPHA) log density of each row of x."""
-    x = np.atleast_2d(x)
-    return _LOG_DIRICHLET_NORM + (_ALPHA_MINUS_1 * np.log(x)).sum(axis=1)
-
-
-def multinomial_log_lik(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Multinomial log probability of the counts y under each row of x."""
-    x = np.atleast_2d(x)
-    y = np.asarray(y, dtype=float)
-    return _multinomial_norm(y[None, :])[0] + (y * np.log(x)).sum(axis=1)
-
-
 def unconstrained_dim(variant: str) -> int:
     if variant not in VARIANT_NAMES:
         raise ValueError(f"unknown simplex variant {variant!r}; known: {', '.join(VARIANT_NAMES)}")
@@ -207,7 +194,8 @@ def _log_posterior_batch(
         one_minus_u = 1.0 - u
         base = np.log(u * one_minus_u).sum(axis=0)
         x, log_jac = _min_columns(u, one_minus_u)
-        lp = base + log_jac + _model_log_density(x, yt, norm)
+        log_x = np.log(x)
+        lp = base + log_jac + (_log_prior(log_x) + _log_lik(log_x, yt, norm))
     elif variant in ("softmax-bad", "softmax-fixed"):
         ez = np.exp(zt)
         v = np.cumsum(ez, axis=0)
@@ -215,7 +203,9 @@ def _log_posterior_batch(
         base = zt.sum(axis=0)
         x, log_jac = _softmax_columns(v, variant == "softmax-fixed")
         ok &= np.isfinite(log_jac)  # not finite where s overflowed
-        lp = np.where(ok, base + log_jac + _model_log_density(x, yt, norm), -np.inf)
+        log_x = np.log(x)
+        model = _log_prior(log_x) + _log_lik(log_x, yt, norm)
+        lp = np.where(ok, base + log_jac + model, -np.inf)
     else:  # gamma
         ez = np.exp(zt)
         w = np.cumsum(ez, axis=0)
@@ -223,17 +213,26 @@ def _log_posterior_batch(
         base = zt.sum(axis=0)
         x = w / w.sum(axis=0)
         prior = (_ALPHA_MINUS_1[:, None] * np.log(w) - w).sum(axis=0)
-        ll = norm + (yt * np.log(x)).sum(axis=0)
-        lp = np.where(ok, base + prior + ll, -np.inf)
+        lp = np.where(ok, base + prior + _log_lik(np.log(x), yt, norm), -np.inf)
     lp = np.where(np.isfinite(lp), lp, -np.inf)
     return lp, x.T
 
 
-def _model_log_density(x: np.ndarray, yt: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """Dirichlet prior plus multinomial likelihood on (K, B) columns, sharing one log(x)."""
-    log_x = np.log(x)
-    prior = _LOG_DIRICHLET_NORM + (_ALPHA_MINUS_1[:, None] * log_x).sum(axis=0)
-    return prior + (norm + (yt * log_x).sum(axis=0))
+def _log_prior(log_x: np.ndarray) -> np.ndarray:
+    """Dirichlet(ALPHA) log density of (K, B) columns, given their log x."""
+    return _LOG_DIRICHLET_NORM + (_ALPHA_MINUS_1[:, None] * log_x).sum(axis=0)
+
+
+def _log_lik(log_x: np.ndarray, yt: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Multinomial log probability of the (K, B) count columns ``yt`` under
+    the (K, B) columns of x, given their log x and the counts' normalisers."""
+    return norm + (yt * log_x).sum(axis=0)
+
+
+def _log_x_columns(draws: np.ndarray) -> np.ndarray:
+    """log x of a group's (g, N, K) simplex draws, as contiguous (K, g * N) columns."""
+    g, N, K = draws.shape
+    return np.log(np.ascontiguousarray(draws.reshape(g * N, K).T))
 
 
 def log_posterior(variant: str, z: np.ndarray, y: np.ndarray) -> float:
@@ -521,11 +520,19 @@ class SimplexGenerator:
 
 
 def quantity_library() -> list[TestQuantity]:
+    """The four components, and the model's own log likelihood and log prior."""
+
+    def log_lik(draws, ys):
+        N = draws.shape[1]
+        counts = np.asarray(ys, dtype=float)
+        yt, norm = np.repeat(counts.T, N, axis=1), np.repeat(_multinomial_norm(counts), N)
+        return _log_lik(_log_x_columns(draws), yt, norm).reshape(draws.shape[:2])
+
+    def log_prior(draws, ys):
+        return _log_prior(_log_x_columns(draws)).reshape(draws.shape[:2])
+
     return [
-        TestQuantity("x[1]", lambda d, y: d[:, 0]),
-        TestQuantity("x[2]", lambda d, y: d[:, 1]),
-        TestQuantity("x[3]", lambda d, y: d[:, 2]),
-        TestQuantity("x[4]", lambda d, y: d[:, 3]),
-        TestQuantity("log_lik", lambda d, y: multinomial_log_lik(d, y)),
-        TestQuantity("log_prior", lambda d, y: dirichlet_log_density(d)),
+        *(group_quantity(f"x[{i + 1}]", lambda d, ys, i=i: d[..., i]) for i in range(4)),
+        group_quantity("log_lik", log_lik),
+        group_quantity("log_prior", log_prior),
     ]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbc_lab.models import bernoulli as bm
 from sbc_lab.rng import stream
@@ -231,6 +233,24 @@ class TestSampleSbc:
             res = chi_square_uniformity(RankSet.from_run(run, name), n_bins=21)
             assert res.p_value > 1e-3, name
 
+
+class TestQuantityLibrary:
+    @given(
+        g=st.integers(min_value=1, max_value=40),
+        M=st.integers(min_value=1, max_value=60),
+        key=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_evaluator_bit_for_bit(self, g, M, key):
+        rng = stream(key, 0)
+        draws = rng.uniform(size=(g, M + 1, 1))
+        draws[rng.uniform(size=(g, M + 1)) < 0.1] = 0.5  # the wrap's and the clamp's edge
+        datasets = [int(y) for y in rng.integers(0, 2, size=g)]
+        for q in bm.quantity_library():
+            got = q.batch(draws, datasets)
+            expected = np.stack([q.evaluator(draws[r], datasets[r]) for r in range(g)])
+            assert got.shape == (g, M + 1), q.name
+            assert got.tobytes() == expected.tobytes(), q.name
 
 class TestSamplePrediction:
     def test_correct_family_prediction_is_uniform(self):

@@ -339,6 +339,43 @@ class TestConfigFile:
         assert run_cli("run", "--config", str(cfg)) == 1
 
 
+    @pytest.mark.parametrize(
+        "key,value,want",
+        [
+            ("sims", 20.9, "an integer"),
+            ("sims", True, "an integer"),
+            ("n", 3.0, "an integer"),
+            ("draws", "5", "an integer"),
+            ("seed", None, "an integer"),
+            ("thin", 1.5, "an integer"),
+            ("step", False, "an integer"),
+            ("model", ["gaussian"], "a string"),
+            ("variant", 1, "a string"),
+            ("quantities", ["mu[1]"], "a string"),
+            ("out", 7, "a string"),
+            ("no_timestamp", 1, "true or false"),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected_before_running(
+        self, key, value, want, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # so that a relative "out" would land here
+        cfg = tmp_path / "cfg.json"
+        config = {"model": "gaussian", "sims": 20, "draws": 5, "out": "out", key: value}
+        cfg.write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"error: config key {key!r} must be {want}, got {json.dumps(value)}" in err
+        assert "valid models" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([["model", "gaussian"]]))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+        assert "error: the config file must hold one JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second to import, more than a default
     # Gaussian run; the package needs only scipy.special

@@ -381,6 +381,16 @@ class TestGroupedEvaluation:
         assert errors == {} and values["rounded"][1].tolist() == [1.0, 2.0, 0.3]
 
 
+    def test_every_library_quantity_is_one_group_kernel(self):
+        from sbc_lab.cli import MODELS
+
+        for model, spec in MODELS.items():
+            for variant in spec.variants:
+                for n in (1, 3):
+                    for q in spec.quantities(spec.family(variant, n), n):
+                        assert q.batch is not None, (model, variant, n, q.name)
+                        assert q.evaluator.__qualname__ == "group_quantity.<locals>.evaluator"
+
 class TestEss:
     def test_independent_chain(self):
         x = stream(11, 0).standard_normal(10_000)

@@ -188,6 +188,11 @@ class TestNullQuantile:
         with pytest.raises(ValueError):
             evolution_trace(np.zeros(20, dtype=int), 10, n_mc=999)
 
+    def test_no_simulations_rejected(self):
+        # no rank set can fall below the threshold of a null without simulations
+        with pytest.raises(ValueError, match="S must be at least 1"):
+            gamma_null_quantile(0, 10, 0.05, 1000, stream(0, 0))
+
     def test_tie_at_threshold_passes(self):
         # a null draw whose gamma is the 5% quantile itself must not reject:
         # the statistic and the threshold come from the same kernel
@@ -364,6 +369,30 @@ class TestTailStore:
         assert built == [200]
         assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values())
 
+    def test_checkpoints_outlive_a_table_too_large_to_keep(self, monkeypatch):
+        # the whole (3000, 100) table, about 2.4 MB, exceeds the budget that its
+        # checkpoints fit in; building it again must not drop them
+        store = _TailStore(1 << 20)
+        store.current(3000, 100)
+        kept = store.checkpoints[(3000, 100)]
+        store.current(200, 100)
+        counts = stream(4, 0).integers(0, 3001, size=(101, 200))  # too many to resume
+        store.least(counts.copy(), 3000, 100)
+        assert store.key == (3000, 100)
+        assert store.checkpoints[(3000, 100)] is kept
+        assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values()) <= store.budget
+        expected = store.table[np.arange(101), counts[:, 0]].min()
+        store.current(200, 100)
+        built = []
+        build = diagnostics.log_binom_tail_checkpoints
+        monkeypatch.setattr(
+            diagnostics,
+            "log_binom_tail_checkpoints",
+            lambda n, p, every: built.append(n) or build(n, p, every),
+        )
+        assert store.least(counts[:, :1].copy(), 3000, 100).tolist() == [expected]
+        assert built == []
+
     def test_bytes_stay_within_the_budget(self):
         store = _TailStore(100_000)
         for S in range(100, 1001, 100):
@@ -468,6 +497,14 @@ class TestEcdfBand:
             disagree += bands[key].contains(rank_set) == rejects
         assert rejected > 200  # the boundary is exercised from both sides
         assert disagree == 0
+
+    def test_contains_rejects_a_rank_set_of_another_size(self):
+        band = ecdf_band(100, 10)
+        with pytest.raises(ValueError, match=r"\(50, 10\).*\(100, 10\)"):
+            band.contains(RankSet(np.zeros(50, dtype=int), 10))
+        with pytest.raises(ValueError, match=r"\(100, 5\).*\(100, 10\)"):
+            band.contains(RankSet(np.zeros(100, dtype=int), 5))
+        assert not band.contains(RankSet(np.zeros(100, dtype=int), 10))
 
     def test_bad_coverage_rejected(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,26 @@ class TestBatchForms:
             assert got.tobytes() == expected.tobytes(), q.name
 
 
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_few_draws_give_the_ranks_of_groups_of_one(self, M, n, monkeypatch):
+        # below three draws per simulation the quadratic forms are taken one
+        # simulation at a time, so the values and ranks are those of groups of one
+        family = gaussian.make_variant("correct", n)
+        args = (gaussian.GaussianGenerator(n), family, gaussian.quantity_library(n, family))
+        grouped = run_sbc(*args, S=300, M=M, seed=5)
+        monkeypatch.setattr(core, "_GROUP_BYTES", 1)
+        alone = run_sbc(*args, S=300, M=M, seed=5)
+        for table in ("rank", "n_less", "n_equals", "evaluated"):
+            assert getattr(grouped, table).tolist() == getattr(alone, table).tolist(), table
+        rng = stream(M, n)
+        sims = [args[0].generate(rng) for _ in range(300)]
+        draws = np.stack([np.vstack([mu, family.sample(y, M, rng)]) for mu, y in sims])
+        values, _ = core._evaluate_group(draws, [y for _, y in sims], args[2])
+        for r in range(300):
+            one, _ = core._evaluate_group(draws[r : r + 1], [sims[r][1]], args[2])
+            assert one.tobytes() == values[r : r + 1].tobytes()
+
 def one_simulation_draws(family, y, M, rng):
     """The per-simulation formula that ``sample_batch`` replaced: its oracle."""
     mean = family._mean(y)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbc_lab.core import run_sbc
 from sbc_lab.diagnostics import evolution_table
@@ -307,6 +309,22 @@ class TestQuantities:
             np.testing.assert_allclose(
                 library["log_lik"](draws, y), stats.multinomial.logpmf(y, sx.N_TRIALS, draws), rtol=1e-12
             )
+
+    @given(
+        g=st.integers(min_value=1, max_value=40),
+        M=st.integers(min_value=1, max_value=60),
+        key=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_evaluator_bit_for_bit(self, g, M, key):
+        rng = stream(key, 0)
+        draws = np.sort(rng.dirichlet(sx.ALPHA, size=(g, M + 1)), axis=-1)
+        datasets = [rng.multinomial(sx.N_TRIALS, x) for x in draws[:, 0]]
+        for q in sx.quantity_library():
+            got = q.batch(draws, datasets)
+            expected = np.stack([q.evaluator(draws[r], datasets[r]) for r in range(g)])
+            assert got.shape == (g, M + 1), q.name
+            assert got.tobytes() == expected.tobytes(), q.name
 
 
 class TestGeneratorAndExactSampler:
