@@ -15,7 +15,6 @@ for the ordered Dirichlet posterior provides an MCMC-free cross-check.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +23,7 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 from ..core import SamplerError, TestQuantity, ess, group_quantity
+from ..rng import copy_stream
 
 __all__ = [
     "ALPHA",
@@ -313,7 +313,7 @@ def _metropolis_block(
     B, dim = state.z.shape
     normal_streams = []
     for rng in streams:
-        normal_streams.append(copy.deepcopy(rng))
+        normal_streams.append(copy_stream(rng))
         rng.standard_normal((T, dim))
     normals = np.empty((B, _NOISE_BLOCK, dim))
     uniforms = np.empty((B, _NOISE_BLOCK))

@@ -291,6 +291,27 @@ class TestExitCodes:
         assert f"error: {flag} must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected_before_running(self, seed, tmp_path, capsys):
+        # -1 and 2^64 + 1 used to run seeds 2^64 - 1 and 1 under another name
+        out = tmp_path / "out"
+        argv = ["run", "--model", "gaussian", "--sims", "20", "--draws", "5", "--out", str(out)]
+        assert run_cli(*argv, "--seed", str(seed)) == 1
+        want = f"error: --seed must be from 0 to {2**64 - 1}, got {seed}"
+        assert want in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "gaussian", "seed": seed, "out": str(out)}))
+        assert run_cli("run", "--config", str(cfg)) == 1
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_both_ends_run(self, seed, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--sims", "30", "--draws", "9", "--step", "10", "--seed", str(seed)]
+        assert run_cli(*BASE, *argv, "--out", str(out), "--no-timestamp") in (0, 2)
+        assert json.loads(read(out / "report.json"))["seed"] == seed
+
     def test_unknown_variant_and_quantity(self, tmp_path):
         assert run_cli("run", "--model", "gaussian", "--variant", "bogus") == 1
         assert (

@@ -191,7 +191,7 @@ _QS = [Quantity("theta", lambda draws, data: draws[:, 0])]
 
 
 class TestRunSbc:
-    def test_deterministic_across_repeats_and_threads(self):
+    def test_deterministic_across_repeats(self):
         runs = [run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=40, M=17, seed=99) for _ in range(2)]
         tables = [
             [r.quantities, *(a.tolist() for a in (r.sim_index, r.rank, r.n_less, r.n_equals))]
