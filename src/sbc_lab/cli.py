@@ -22,6 +22,7 @@ from .diagnostics import RankSet, ecdf_band, evolution_table
 from .models import bernoulli, gaussian, simplex
 from .plots import svg_ecdf_difference, svg_evolution, svg_rank_histogram
 from .reports import build_report, write_evolution_csv, write_ranks_csv, write_report_json
+from .rng import MAX_SEED
 
 __all__ = ["main"]
 
@@ -110,9 +111,6 @@ _RUN_DEFAULTS = {
     "out": "sbc-out",
     "no_timestamp": False,
 }
-# A stream key holds the seed mod 2^64, so a seed outside 0..2^64-1 would
-# silently run the simulations of another seed.
-_MAX_SEED = (1 << 64) - 1
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -162,8 +160,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     for key in ("sims", "draws", "step", "thin"):
         if settings.get(key) is not None and settings[key] < 1:
             raise UsageError(f"--{key} must be at least 1, got {settings[key]}")
-    if not 0 <= settings["seed"] <= _MAX_SEED:
-        raise UsageError(f"--seed must be from 0 to {_MAX_SEED}, got {settings['seed']}")
+    if not 0 <= settings["seed"] <= MAX_SEED:
+        raise UsageError(f"--seed must be from 0 to {MAX_SEED}, got {settings['seed']}")
     model = settings["model"]
     generator, family, library, default_thin = _build(model, settings["variant"], settings["n"])
     thin = settings.get("thin", default_thin)

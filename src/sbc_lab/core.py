@@ -24,7 +24,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .rng import generation_stream, posterior_stream, tiebreak_stream
+from .rng import MAX_SEED, generation_stream, posterior_stream, tiebreak_stream
 
 __all__ = [
     "TestQuantity",
@@ -321,10 +321,14 @@ def run_sbc(
     evaluated and ranked in groups sized by ``_GROUP_BYTES`` (see
     :class:`TestQuantity` for the ``batch`` contract); a quantity that
     raises, has the wrong shape or gives NaN is left unranked in that
-    simulation and listed in ``quantity_errors``.
+    simulation and listed in ``quantity_errors``. ``seed`` must be from 0 to
+    :data:`~sbc_lab.rng.MAX_SEED`: any other would run the streams of a seed
+    in that range.
     """
     if S < 1 or M < 1 or thin_stride < 1:
         raise ValueError("S, M and thin_stride must all be >= 1")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be from 0 to {MAX_SEED}, got {seed}")
     names = [q.name for q in quantities]
     priors: list[np.ndarray] = []
     datasets: list[Any] = []

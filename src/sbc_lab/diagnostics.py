@@ -5,9 +5,11 @@ binomial tail probability of the rank ECDF against the uniform reference.
 Its null distribution (uniform ranks) is estimated by Monte Carlo from a
 fixed calibration stream and cached, so the reported threshold is
 reproducible across runs and shared across seeds, quantities and variants.
-There is one prefix-consistent calibration draw per (M, n_mc): the null for
-S simulations is its first S rows, so one pass down the draw, a block of rows
-at a time, fills the null of every prefix of an evolution trace.
+The test has one configuration: gamma against the 5 % quantile of its null.
+There is one prefix-consistent calibration draw per M, at 5 000 draws: the
+null for S simulations is its first S rows, so one pass down the draw, a
+block of rows at a time, fills the null of every prefix of an evolution
+trace, with its threshold.
 All gamma arithmetic happens in log space through one kernel: one table of
 binomial tail minima per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank
 counts, read whole or resumed bit for bit from its stored tail checkpoints.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -55,8 +56,13 @@ __all__ = [
 # byte-reproducible and lets every run share one null table per (S, M).
 NULL_CALIBRATION_SEED = 0x5BC1AB
 
-# Stream id under NULL_CALIBRATION_SEED of the null draw for (M, n_mc):
-# 2**63 + (M << 32) + n_mc.
+# The one configuration of the gamma test: its level, and the null
+# replicates its threshold is the quantile of.
+_LEVEL = 0.05
+_N_MC = 5000
+
+# Stream id under NULL_CALIBRATION_SEED of the null draw for M:
+# 2**63 + (M << 32) + _N_MC.
 _NULL_STREAM = 1 << 63
 
 # Rows per calibration draw call: the draws hold O(_ROW_BLOCK * width) ranks
@@ -156,7 +162,7 @@ _CHECKPOINT_EVERY = 16
 _CHECKPOINT_BYTES = 8 << 20
 
 # Table rows gathered per ``take`` of a full-table lookup: all 101 rows at
-# once made a 4 MB temporary at M=100 and B = n_mc = 5000, the peak of a
+# once made a 4 MB temporary at M=100 and B = _N_MC = 5000, the peak of a
 # null pass; eight rows make 320 kB, in the same time.
 _TAKE_ROWS = 8
 
@@ -214,7 +220,7 @@ class _TailStore:
         stored checkpoints serve when the columns are few: a lookup resumes up
         to two tails of _CHECKPOINT_EVERY terms, about the work of that many
         table entries, so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider R
-        (the null pass's B = n_mc) builds the table. With ``take``, R is
+        (the null pass's B = _N_MC) builds the table. With ``take``, R is
         overwritten with flat table indices, which saves an (M+1, B)
         temporary.
         """
@@ -266,21 +272,22 @@ def gamma_statistic(rank_set: RankSet) -> float:
     return float(np.exp(log_gamma_statistic(rank_set)))
 
 
-def _check_n_mc(n_mc: int) -> None:
-    if n_mc < 1000:
-        raise ValueError("n_mc must be at least 1000")
-
-
 def _check_null_args(level: float, n_mc: int) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    _check_n_mc(n_mc)
+    if n_mc < 1000:
+        raise ValueError("n_mc must be at least 1000")
 
 
 def gamma_null_quantile(
     S: int, M: int, level: float, n_mc: int, rng: np.random.Generator
 ) -> float:
-    """Monte-Carlo quantile of gamma under uniform ranks, deterministic given rng."""
+    """Monte-Carlo quantile of gamma under uniform ranks, deterministic given rng.
+
+    An estimator independent of the cached threshold, which is fixed at
+    level 0.05 and 5 000 replicates: it keeps ``level`` and ``n_mc`` so that
+    the cache can be checked against fresh draws of any size.
+    """
     _check_null_args(level, n_mc)
     if S < 1:
         raise ValueError("S must be at least 1")
@@ -289,92 +296,79 @@ def gamma_null_quantile(
     return float(np.exp(np.quantile(log_gammas, level)))
 
 
-_null_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-# log gamma_bar, the quantile at a level of a cached null: (S, M, n_mc, level) -> float
-_quantile_cache: dict[tuple[int, int, int, float], float] = {}
-
-
-def _null_quantile(S: int, M: int, n_mc: int, level: float, log_null: np.ndarray) -> float:
-    """``np.quantile(log_null, level)`` of the cached (S, M, n_mc) null, computed once per level."""
-    key = (S, M, n_mc, level)
-    got = _quantile_cache.get(key)
-    if got is None:
-        got = _quantile_cache[key] = float(np.quantile(log_null, level))
-    return got
+# Sorted null log gammas per (S, M), and their _LEVEL quantile log gamma_bar,
+# filled together.
+_null_cache: dict[tuple[int, int], np.ndarray] = {}
+_log_bar_cache: dict[tuple[int, int], float] = {}
 
 
-def _null_rows(n: int, M: int, n_mc: int):
-    """First n rows of the calibration draw for (M, n_mc), in row blocks.
+def _null_rows(n: int, M: int):
+    """First n rows of the calibration draw for M, in row blocks.
 
-    Row s holds simulation s of each of the n_mc null replicates (columns).
+    Row s holds simulation s of each of the _N_MC null replicates (columns).
     Successive draws from one generator continue its sequence, so the blocks
-    stacked are bit for bit the one-shot ``integers(0, M + 1, size=(n, n_mc))``.
+    stacked are bit for bit the one-shot ``integers(0, M + 1, size=(n, _N_MC))``.
     """
-    rng = stream(NULL_CALIBRATION_SEED, _NULL_STREAM + (M << 32) + n_mc)
+    rng = stream(NULL_CALIBRATION_SEED, _NULL_STREAM + (M << 32) + _N_MC)
     for start in range(0, n, _ROW_BLOCK):
-        yield rng.integers(0, M + 1, size=(min(_ROW_BLOCK, n - start), n_mc))
+        yield rng.integers(0, M + 1, size=(min(_ROW_BLOCK, n - start), _N_MC))
 
 
-def _prefix_nulls(lengths: list[int], M: int, n_mc: int):
-    """Yield (n, sorted null log gammas) for each ascending prefix length n.
+def _prefix_nulls(lengths: list[int], M: int):
+    """Yield (n, log gamma_bar) for each ascending prefix length n.
 
     A missing null is filled in the same pass: the rows of the calibration
-    draw are added block by block to running point-major (M+1, n_mc) rank
+    draw are added block by block to running point-major (M+1, _N_MC) rank
     counts, whose running sum down the points gives the ECDF counts at each
-    missing n. A fill reads every count through the (n, M) table itself,
-    built here unless current, so when a filled (n, ...) is yielded the caller's
-    own kernel call at n reads that table too. A hit builds nothing: the
-    caller's call then resumes from the checkpoints of an earlier build, and
-    builds the table only when none are stored or it has too many rank sets
-    to resume (see ``_TailStore.least``).
+    missing n. The sorted null and its _LEVEL quantile are stored together.
+    A fill reads every count through the (n, M) table itself, built here
+    unless current, so when a filled n is yielded the caller's own kernel
+    call at n reads that table too. A hit builds nothing: the caller's call
+    then resumes from the checkpoints of an earlier build, and builds the
+    table only when none are stored or it has too many rank sets to resume
+    (see ``_TailStore.least``).
     """
-    blocks = _null_rows(lengths[-1], M, n_mc)  # lazy: opens the stream on the first miss
-    block = np.empty((0, n_mc), dtype=np.int64)
+    blocks = _null_rows(lengths[-1], M)  # lazy: opens the stream on the first miss
+    block = np.empty((0, _N_MC), dtype=np.int64)
     counted = 0
     counts = None  # allocated on the first miss: hits, the warm path, need none
     for n in lengths:
-        key = (n, M, n_mc)
-        got = _null_cache.get(key)
-        if got is None:
+        key = (n, M)
+        if key not in _null_cache:
             if counts is None:
                 # counts[v, b]: rank v among the counted rows of replicate b
-                counts = np.zeros((M + 1, n_mc), dtype=np.int64)
-                replicate = np.arange(n_mc)
+                counts = np.zeros((M + 1, _N_MC), dtype=np.int64)
+                replicate = np.arange(_N_MC)
                 R = np.empty_like(counts)
             while counted < n:
                 if not len(block):
                     block = next(blocks)
                 take = min(n - counted, len(block))
-                np.add.at(counts.reshape(-1), block[:take] * n_mc + replicate, 1)
+                np.add.at(counts.reshape(-1), block[:take] * _N_MC + replicate, 1)
                 block = block[take:]
                 counted += take
             # a running add per point: cumsum(axis=0) walks the columns
             R[0] = counts[0]
             for i in range(1, M + 1):
                 np.add(R[i - 1], counts[i], out=R[i])
-            got = np.sort(_log_gammas_from_counts(R, n, M))
-            _null_cache[key] = got
-        yield n, got
+            log_null = np.sort(_log_gammas_from_counts(R, n, M))
+            _log_bar_cache[key] = float(np.quantile(log_null, _LEVEL))
+            _null_cache[key] = log_null
+        yield n, _log_bar_cache[key]
 
 
-def log_gamma_null_quantile_cached(
-    S: int, M: int, level: float = 0.05, n_mc: int = 5000
-) -> float:
-    """Log of the null quantile from the fixed calibration stream, cached."""
-    _check_null_args(level, n_mc)
+def log_gamma_null_quantile_cached(S: int, M: int) -> float:
+    """Log of the 5 % null quantile from the fixed calibration stream, cached."""
     if S < 1:
         raise ValueError("S must be at least 1")
-    [(_, log_null)] = _prefix_nulls([S], M, n_mc)
-    return _null_quantile(S, M, n_mc, level, log_null)
+    [(_, log_bar)] = _prefix_nulls([S], M)
+    return log_bar
 
 
-def gamma_result(
-    rank_set: RankSet, quantity: str = "", level: float = 0.05, n_mc: int = 5000
-) -> GammaResult:
+def gamma_result(rank_set: RankSet, quantity: str = "") -> GammaResult:
     """Gamma statistic of a rank set with its cached null threshold."""
     log_gamma = log_gamma_statistic(rank_set)
-    log_bar = log_gamma_null_quantile_cached(rank_set.S, rank_set.max_rank, level, n_mc)
+    log_bar = log_gamma_null_quantile_cached(rank_set.S, rank_set.max_rank)
     return GammaResult(
         quantity=quantity,
         S=rank_set.S,
@@ -394,17 +388,13 @@ def _prefix_lengths(S: int, step: int) -> list[int]:
 
 
 def evolution_table(
-    ranks_by_quantity: Mapping[str, np.ndarray],
-    M: int,
-    step: int = 10,
-    level: float = 0.05,
-    n_mc: int = 5000,
+    ranks_by_quantity: Mapping[str, np.ndarray], M: int, step: int = 10
 ) -> list[EvolutionTrace]:
     """Evolution traces for several quantities over shared prefixes.
 
     For each prefix length the observed log gamma is compared against the
     cached null quantile for that prefix size; log_ratio < 0 means rejection
-    of uniformity at ``level``. Prefix lengths run step, 2*step, ..., S with
+    of uniformity at 5 %. Prefix lengths run step, 2*step, ..., S with
     S always included. The quantities are stacked into one (Q, S) rank
     matrix, so each prefix is one kernel call on tables shared by all of
     them; prefer this over per-quantity calls for wide rank tables.
@@ -419,7 +409,6 @@ def evolution_table(
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    _check_null_args(level, n_mc)
     names = list(ranks_by_quantity)
     if not names:
         return []
@@ -434,8 +423,7 @@ def evolution_table(
         raise ValueError("ranks must lie in [0, M]")
     lengths = _prefix_lengths(S, step)
     log_ratio = np.empty((len(names), len(lengths)))
-    for j, (n, log_null) in enumerate(_prefix_nulls(lengths, M, n_mc)):
-        log_bar = _null_quantile(n, M, n_mc, level, log_null)
+    for j, (n, log_bar) in enumerate(_prefix_nulls(lengths, M)):
         log_ratio[:, j] = _log_gammas_for_matrix(ranks[:, :n], M) - log_bar
     n_sims = np.asarray(lengths, dtype=int)
     return [
@@ -445,30 +433,23 @@ def evolution_table(
 
 
 def evolution_trace(
-    ranks: np.ndarray,
-    M: int,
-    quantity: str = "",
-    step: int = 10,
-    level: float = 0.05,
-    n_mc: int = 5000,
+    ranks: np.ndarray, M: int, quantity: str = "", step: int = 10
 ) -> EvolutionTrace:
     """Evolution trace of one quantity; see :func:`evolution_table`."""
-    trace = evolution_table({quantity: ranks}, M, step=step, level=level, n_mc=n_mc)[0]
-    return trace
+    return evolution_table({quantity: ranks}, M, step=step)[0]
 
 
 @dataclass(frozen=True)
 class EcdfBand:
     """Simultaneous bounds on rank ECDF counts at i = 1..M+1.
 
-    The band is the acceptance region of the gamma test at level
-    1 - coverage: ``contains`` holds exactly when gamma does not reject.
-    ``pointwise_level`` is that test's threshold gamma_bar.
+    The band is the acceptance region of the 5 % gamma test: ``contains``
+    holds exactly when gamma does not reject. ``pointwise_level`` is that
+    test's threshold gamma_bar.
     """
 
     S: int
     M: int
-    coverage: float
     pointwise_level: float
     lower: np.ndarray
     upper: np.ndarray
@@ -481,37 +462,20 @@ class EcdfBand:
         return bool(np.all(R >= self.lower) and np.all(R <= self.upper))
 
 
-def ecdf_band(S: int, M: int, coverage: float = 0.95, n_mc: int = 5000) -> EcdfBand:
+def ecdf_band(S: int, M: int) -> EcdfBand:
     """Simultaneous band for uniform rank ECDF counts: the gamma acceptance region.
 
     Count k is inside at point i when log 2 + table[i, k] >= log gamma_bar,
-    with gamma_bar the cached null quantile at level 1 - coverage. Gamma is
-    log 2 plus the least table entry over the points, so a rank set lies in
-    the band exactly when gamma does not reject it at that level. Each table
-    row rises and then falls in k, so the counts inside form an interval.
+    with gamma_bar the cached 5 % null quantile. Gamma is log 2 plus the
+    least table entry over the points, so a rank set lies in the band
+    exactly when gamma does not reject it. Each table row rises and then
+    falls in k, so the counts inside form an interval.
     """
-    if not 0.0 < coverage < 1.0:
-        raise ValueError("coverage must lie strictly between 0 and 1")
-    _check_n_mc(n_mc)
-    if coverage >= 1.0 - 0.5 / n_mc:
-        # beyond Monte-Carlo resolution only the sure box has the coverage
-        return EcdfBand(
-            S=S,
-            M=M,
-            coverage=coverage,
-            pointwise_level=0.0,
-            lower=np.zeros(M + 1, dtype=int),
-            upper=np.full(M + 1, S, dtype=int),
-        )
-    # the decimal complement: coverage 0.95 reads the quantile at level 0.05,
-    # where 1.0 - 0.95 = 0.050000000000000044 can interpolate one ulp off it
-    level = float(1 - Decimal(repr(coverage)))
-    log_bar = log_gamma_null_quantile_cached(S, M, level, n_mc)
+    log_bar = log_gamma_null_quantile_cached(S, M)
     inside = _LOG2 + _tails.current(S, M) >= log_bar
     return EcdfBand(
         S=S,
         M=M,
-        coverage=coverage,
         pointwise_level=float(np.exp(log_bar)),
         lower=inside.argmax(axis=1),
         upper=S - inside[:, ::-1].argmax(axis=1),

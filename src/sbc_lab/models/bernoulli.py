@@ -42,6 +42,19 @@ __all__ = [
 ]
 
 
+# Width of the bracket at which the bisection inversion of a quantile stops.
+_INVERT_TOL = 1e-10
+
+# Points of the grid on which a constructed family is checked.
+_PROBE_SIZE = 4096
+
+# Largest sup-norm residual of a discrete family counted as passing SBC.
+_SCAN_THRESHOLD = 1e-6
+
+# Gauss-Legendre nodes of the sample rank CDF prediction.
+_N_NODES = 2048
+
+
 class RadicandConditionError(ValueError):
     """The chosen quantile function drives the companion radicand negative."""
 
@@ -73,11 +86,11 @@ class QuantileFamily:
             return np.clip(np.asarray(self.cdf(s, y), dtype=float), 0.0, 1.0)
         return np.vectorize(lambda v: self._invert_quantile(v, y))(s)
 
-    def _invert_quantile(self, s: float, y: int, tol: float = 1e-10) -> float:
+    def _invert_quantile(self, s: float, y: int) -> float:
         lo, hi = 0.0, 1.0
         if self.quantile_at(np.array(0.0), y) > s:
             return 0.0
-        while hi - lo > tol:
+        while hi - lo > _INVERT_TOL:
             mid = 0.5 * (lo + hi)
             if float(self.quantile_at(np.array(mid), y)) <= s:
                 lo = mid
@@ -252,16 +265,14 @@ def solve_companion_quantile(
 
 
 def build_companion_family(
-    phi_inv_0: Callable[[np.ndarray], np.ndarray],
-    name: str = "constructed",
-    probe_size: int = 4096,
+    phi_inv_0: Callable[[np.ndarray], np.ndarray], name: str = "constructed"
 ) -> QuantileFamily:
     """Family from a y=0 quantile with the y=1 side solved to pass SBC for theta.
 
     Validates on a probe grid: the radicand must stay nonnegative and the
     implied y=1 quantile must be nondecreasing.
     """
-    probe = np.linspace(0.0, 1.0, probe_size)
+    probe = np.linspace(0.0, 1.0, _PROBE_SIZE)
     values = solve_companion_quantile(phi_inv_0, probe)
     if np.any(np.diff(values) < -1e-10):
         raise MonotonicityConditionError(
@@ -335,7 +346,7 @@ def discrete_sbc_residual(a: np.ndarray, b: np.ndarray, grid_size: int = 401) ->
 
 
 def discrete_sbc_scan(
-    grid_resolution: int = 200, threshold: float = 1e-6
+    grid_resolution: int = 200,
 ) -> tuple[list[tuple[float, float]], np.ndarray, np.ndarray]:
     """Scan the (a, b) unit square for families passing discrete SBC.
 
@@ -351,7 +362,7 @@ def discrete_sbc_scan(
     residuals = np.empty((cells + 1, cells + 1))
     for i, a in enumerate(values):
         residuals[i, :] = discrete_sbc_residual(np.full(values.shape, a), values)
-    hits = np.argwhere(residuals < threshold)
+    hits = np.argwhere(residuals < _SCAN_THRESHOLD)
     passing = [(float(values[i]), float(values[j])) for i, j in hits]
     return passing, values, residuals
 
@@ -410,9 +421,7 @@ def write_q_curve_csv(
             fh.write(f"{float(xi)!r},{float(a)!r},{float(b)!r},{float(0.5 * (a + b))!r}\n")
 
 
-def sample_rank_cdf_prediction(
-    family: QuantileFamily, M: int, n_nodes: int = 2048
-) -> np.ndarray:
+def sample_rank_cdf_prediction(family: QuantileFamily, M: int) -> np.ndarray:
     """Predicted CDF of the M-draw rank of theta under this family.
 
     Conditional on y the prior draw sits at true-posterior quantile t, and
@@ -424,7 +433,7 @@ def sample_rank_cdf_prediction(
     # this prediction, which the run path never calls, uses it
     from scipy import stats
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_N_NODES)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     out = np.zeros(M + 1)

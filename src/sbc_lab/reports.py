@@ -2,7 +2,8 @@
 
 All emitters are byte-deterministic: fixed column order, LF line endings,
 repr-based float formatting, and null thresholds from the fixed calibration
-stream, so re-running an identical configuration reproduces identical files.
+stream (one draw per M, at 5 000 draws), so re-running an identical
+configuration reproduces identical files.
 """
 
 from __future__ import annotations
@@ -64,12 +65,7 @@ def read_ranks_csv(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     return {q: np.asarray(r, dtype=int) for q, r in by_quantity.items()}, max_rank
 
 
-def build_report(
-    run: SbcRun,
-    level: float = 0.05,
-    n_mc: int = 5000,
-    metadata: Mapping[str, object] | None = None,
-) -> dict:
+def build_report(run: SbcRun, metadata: Mapping[str, object] | None = None) -> dict:
     """Uniformity report: per-quantity gamma facts plus run provenance.
 
     ``pass_5pct`` is log(gamma / gamma_bar) >= 0 at the full simulation
@@ -86,7 +82,7 @@ def build_report(
     entries = []
     for name in run.quantity_names():
         rank_set = RankSet.from_run(run, name)
-        res = gamma_result(rank_set, quantity=name, level=level, n_mc=n_mc)
+        res = gamma_result(rank_set, quantity=name)
         chi2 = chi_square_uniformity(rank_set, default_chi2_bins(rank_set.S, rank_set.max_rank))
         entries.append(
             {

@@ -23,6 +23,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
+    "MAX_SEED",
     "stream",
     "copy_stream",
     "generation_stream",
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# Seeds are 0..MAX_SEED: a stream key holds the seed mod 2^64, so any other
+# seed would silently run the simulations of one in that range.
+MAX_SEED = _MASK64
 
 # Stream-id namespaces for the three random choices made per simulation.
 POSTERIOR_OFFSET = 1 << 62

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -13,7 +14,13 @@ from sbc_lab import cli
 from sbc_lab.cli import main
 from sbc_lab.core import SamplerError, run_sbc
 from sbc_lab.core import TestQuantity as Quantity
-from sbc_lab.diagnostics import RankSet, chi_square_uniformity, default_chi2_bins, gamma_result
+from sbc_lab.diagnostics import (
+    RankSet,
+    chi_square_uniformity,
+    default_chi2_bins,
+    ecdf_band,
+    gamma_result,
+)
 from sbc_lab.models import gaussian
 from sbc_lab.reports import read_ranks_csv
 
@@ -77,6 +84,26 @@ class TestRunOutputs:
             assert entry["log_ratio"] == res.log_ratio
             assert entry["chi2_p"] == chi2.p_value
             assert entry["pass_5pct"] == (res.log_ratio >= 0.0)
+
+    @pytest.mark.parametrize("variant", ["correct", "prior-only"])
+    def test_report_and_trace_read_one_threshold(self, variant, tmp_path):
+        # the verdict, the last prefix of the trace and the band all compare
+        # against the one 5% threshold of the cached null
+        out = tmp_path / "out"
+        argv = list(BASE)
+        argv[argv.index("--variant") + 1] = variant
+        run_cli(*argv, "--out", str(out), "--no-timestamp")
+        report = json.loads(read(out / "report.json"))
+        with open(out / "evolution.csv", encoding="utf-8", newline="") as fh:
+            last = {row["quantity"]: row for row in csv.DictReader(fh)}
+        ranked_in_all = report["S_requested"] - report["failures"]
+        complete = [e for e in report["quantities"] if e["S"] == ranked_in_all]
+        assert last and [e["quantity"] for e in complete] == list(last)
+        for entry in complete:
+            assert last[entry["quantity"]]["n_sims"] == str(entry["S"])
+            assert last[entry["quantity"]]["log_ratio"] == repr(entry["log_ratio"])
+        for entry in report["quantities"]:
+            assert entry["gamma_bar"] == ecdf_band(entry["S"], entry["M"]).pointwise_level
 
     def test_svg_desc_values_match_rank_csv(self, tmp_path):
         out = tmp_path / "out"

@@ -301,6 +301,21 @@ class TestRunSbc:
         with pytest.raises(ValueError):
             run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=3, M=0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected_before_any_stream(self, seed, monkeypatch):
+        # streams key the seed mod 2^64: -1 would silently run seed 2^64 - 1
+        opened = []
+        monkeypatch.setattr(core, "generation_stream", lambda *key: opened.append(key))
+        monkeypatch.setattr(core, "posterior_stream", lambda *key: opened.append(key))
+        with pytest.raises(ValueError, match=f"seed must be from 0 to {2**64 - 1}, got {seed}"):
+            run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=3, M=3, seed=seed)
+        assert opened == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_both_ends_run(self, seed):
+        run = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=5, M=3, seed=seed)
+        assert run.seed == seed and run.n_failed == 0
+
 
 def _rounded(draws, data):
     """Ties in some simulations; raises in others."""

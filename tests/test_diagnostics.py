@@ -72,7 +72,7 @@ def exact_null_cdf(S, M, x, strict=False):
 def null_rows_and_tie(S, M):
     """The (5000, S) null calibration replicates and the one whose gamma is nearest
     the cached 5% quantile (at S=90, M=100 it is the quantile itself)."""
-    null_ranks = np.concatenate(list(_null_rows(S, M, 5000))).T
+    null_ranks = np.concatenate(list(_null_rows(S, M))).T
     log_bar = log_gamma_null_quantile_cached(S, M)
     log_gammas = np.array([log_gamma_statistic(RankSet(r, M)) for r in null_ranks])
     return null_ranks, null_ranks[np.argmin(np.abs(log_gammas - log_bar))]
@@ -157,7 +157,7 @@ class TestNullQuantile:
     def test_null_calibration(self):
         # P(gamma < gamma_bar(0.05)) = 0.05 +- 0.02 under uniform ranks
         S, M = 500, 100
-        log_bar = log_gamma_null_quantile_cached(S, M, level=0.05, n_mc=5000)
+        log_bar = log_gamma_null_quantile_cached(S, M)
         rng = stream(77, 0)
         hits = 0
         trials = 1000
@@ -177,16 +177,23 @@ class TestNullQuantile:
         with pytest.raises(ValueError):
             gamma_null_quantile(10, 5, 0.05, 100, stream(0, 0))
         with pytest.raises(ValueError):
-            log_gamma_null_quantile_cached(50, 10, 0.05, 10)
-        with pytest.raises(ValueError):
             log_gamma_null_quantile_cached(0, 10)
-        for level in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                log_gamma_null_quantile_cached(50, 10, level)
-            with pytest.raises(ValueError):
-                evolution_trace(np.zeros(20, dtype=int), 10, level=level)
-        with pytest.raises(ValueError):
-            evolution_trace(np.zeros(20, dtype=int), 10, n_mc=999)
+
+    def test_threshold_is_the_5pct_quantile_of_the_sorted_null(self):
+        # computed once where the null is filled, and read alike by the
+        # report's gamma, a trace ending at S and the band
+        S, M = 37, 20
+        _null_cache.clear()
+        log_bar = log_gamma_null_quantile_cached(S, M)
+        log_null = _null_cache[(S, M)]
+        assert log_null.shape == (5000,)
+        assert np.array_equal(log_null, np.sort(log_null))
+        assert log_bar == float(np.quantile(log_null, 0.05))
+        ranks = stream(9, 4).integers(0, M + 1, size=S)
+        log_gamma = log_gamma_statistic(RankSet(ranks, M))
+        assert gamma_result(RankSet(ranks, M)).log_gamma_bar == log_bar
+        assert evolution_trace(ranks, M, step=S).log_ratio.tolist() == [log_gamma - log_bar]
+        assert ecdf_band(S, M).pointwise_level == float(np.exp(log_bar))
 
     def test_no_simulations_rejected(self):
         # no rank set can fall below the threshold of a null without simulations
@@ -207,9 +214,9 @@ class TestNullQuantile:
 
     def test_exact_small_s_oracle(self):
         # the cached 5% quantile against the exact null cdf, within 4 MC sigma
-        S, M, n_mc = 40, 9, 5000
-        log_bar = log_gamma_null_quantile_cached(S, M, 0.05, n_mc)
-        sigma = math.sqrt(0.05 * 0.95 / n_mc)
+        S, M = 40, 9
+        log_bar = log_gamma_null_quantile_cached(S, M)
+        sigma = math.sqrt(0.05 * 0.95 / 5000)
         assert exact_null_cdf(S, M, log_bar, strict=True) - 4 * sigma <= 0.05
         assert 0.05 <= exact_null_cdf(S, M, log_bar) + 4 * sigma
 
@@ -258,18 +265,18 @@ class TestEvolution:
         # the null of prefix n is the first n calibration rows, whether it is
         # filled on its own or by an evolution pass; 63, 64, 65 straddle a row block
         M, sizes = 100, (1, 63, 64, 65, 370)
-        blocks = np.concatenate(list(_null_rows(370, M, 5000)))
+        blocks = np.concatenate(list(_null_rows(370, M)))
         rng = stream(NULL_CALIBRATION_SEED, _NULL_STREAM + (M << 32) + 5000)
         assert np.array_equal(blocks, rng.integers(0, M + 1, size=(370, 5000)))
         standalone = {}
         for n in sizes:
             _null_cache.clear()
-            standalone[n] = (log_gamma_null_quantile_cached(n, M), _null_cache[(n, M, 5000)])
+            standalone[n] = (log_gamma_null_quantile_cached(n, M), _null_cache[(n, M)])
         ranks = stream(41, 2).integers(0, M + 1, size=370)
         for n in sizes:
             _null_cache.clear()
             evolution_table({"q": ranks[:n]}, M, step=37)
-            assert np.array_equal(_null_cache[(n, M, 5000)], standalone[n][1])
+            assert np.array_equal(_null_cache[(n, M)], standalone[n][1])
             assert log_gamma_null_quantile_cached(n, M) == standalone[n][0]
 
     def test_fill_order_gives_identical_files(self, tmp_path):
@@ -284,37 +291,6 @@ class TestEvolution:
         main(argv + [str(tmp_path / "b")])
         for name in ("report.json", "evolution.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-class TestNullQuantileMemo:
-    @pytest.mark.parametrize("levels", [(0.05, 0.1), (0.1, 0.05)])
-    def test_each_level_reads_its_own_quantile(self, levels, monkeypatch):
-        monkeypatch.setattr(diagnostics, "_quantile_cache", {})
-        S, M = 37, 20
-        got = [log_gamma_null_quantile_cached(S, M, level) for level in levels]
-        log_null = _null_cache[(S, M, 5000)]
-        assert np.array_equal(log_null, np.sort(log_null))
-        assert got == [float(np.quantile(log_null, level)) for level in levels]
-        assert got[0] != got[1]
-        # read again, now from the memo, and by an evolution trace ending at S
-        assert [log_gamma_null_quantile_cached(S, M, level) for level in levels] == got
-        ranks = stream(9, 4).integers(0, M + 1, size=S)
-        for level, log_bar in zip(levels, got):
-            trace = evolution_trace(ranks, M, step=S, level=level)
-            assert trace.log_ratio.tolist() == [log_gamma_statistic(RankSet(ranks, M)) - log_bar]
-
-    def test_band_reads_the_trace_final_threshold(self, monkeypatch):
-        monkeypatch.setattr(diagnostics, "_quantile_cache", {})
-        S, M = 130, 20
-        ranks = stream(7, 1).integers(0, M + 1, size=S)
-        trace = evolution_trace(ranks, M, step=40)
-        keys = list(diagnostics._quantile_cache)
-        band = ecdf_band(S, M, 0.95)
-        # coverage 0.95 reads the trace's level 0.05: no new memo entry
-        assert list(diagnostics._quantile_cache) == keys
-        log_bar = diagnostics._quantile_cache[(S, M, 5000, 0.05)]
-        assert trace.log_ratio[-1] == log_gamma_statistic(RankSet(ranks, M)) - log_bar
-        assert band.pointwise_level == float(np.exp(log_bar))
 
 
 class TestTailStore:
@@ -423,20 +399,15 @@ class TestTailStore:
 
 
 class TestEcdfBand:
-    def test_extreme_coverage_gives_trivial_bounds(self):
-        band = ecdf_band(50, 10, coverage=1 - 1e-12, n_mc=1000)
-        assert np.all(band.lower == 0)
-        assert np.all(band.upper == 50)
-
     def test_band_contains_diagonal(self):
-        band = ecdf_band(400, 20, coverage=0.95, n_mc=2000)
+        band = ecdf_band(400, 20)
         z = np.arange(1, 22) / 21.0
         diag = 400 * z
         assert np.all(band.lower <= diag) and np.all(diag <= band.upper)
 
     def test_self_consistent_coverage(self):
         S, M = 300, 20
-        band = ecdf_band(S, M, coverage=0.95, n_mc=4000)
+        band = ecdf_band(S, M)
         rng = stream(55, 0)
         trials = 1000
         inside = sum(
@@ -505,16 +476,6 @@ class TestEcdfBand:
         with pytest.raises(ValueError, match=r"\(100, 5\).*\(100, 10\)"):
             band.contains(RankSet(np.zeros(100, dtype=int), 5))
         assert not band.contains(RankSet(np.zeros(100, dtype=int), 10))
-
-    def test_bad_coverage_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf_band(10, 5, coverage=1.0)
-
-    @pytest.mark.parametrize("n_mc,coverage", [(0, 0.95), (500, 0.95), (500, 0.9999)])
-    def test_small_n_mc_rejected_before_use(self, n_mc, coverage):
-        # n_mc is checked before it divides, and at every coverage
-        with pytest.raises(ValueError, match="n_mc must be at least 1000"):
-            ecdf_band(10, 5, coverage=coverage, n_mc=n_mc)
 
 
 def scipy_chisquare(rank_set, n_bins):

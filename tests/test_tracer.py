@@ -3,7 +3,7 @@
 import types
 from pathlib import Path
 
-from sbc_lab import cli
+from sbc_lab import cli, diagnostics
 from sbc_lab.models import simplex
 
 
@@ -27,3 +27,22 @@ def test_tracer_finds_every_patched_name():
     finally:
         tracer.restore()
     assert (cli.run_sbc, simplex._metropolis_block, simplex.RwmSimplexFamily.sample_batch) == originals
+
+
+def test_tracer_counts_null_lookups_in_the_null_cache(monkeypatch):
+    # the benchmark's null_misses, null_hits and null_cache_mb read the cache
+    # of sorted null arrays keyed by (S, M)
+    monkeypatch.setattr(diagnostics, "_null_cache", {})
+    monkeypatch.setattr(diagnostics, "_log_bar_cache", {})
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        assert tracer_module.null_cache_mb() == 0.0
+        cold = diagnostics.log_gamma_null_quantile_cached(25, 7)
+        assert tracer_module.null_cache_mb() > 0.0
+        assert (tracer.counters["null_misses"], tracer.counters["null_hits"]) == (1, 0)
+        assert diagnostics.log_gamma_null_quantile_cached(25, 7) == cold
+        assert (tracer.counters["null_misses"], tracer.counters["null_hits"]) == (1, 1)
+    finally:
+        tracer.restore()
