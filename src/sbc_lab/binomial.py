@@ -15,14 +15,13 @@ measured with tracemalloc, about 2.3 such arrays at its peak (about 1.8 GB
 at S=10^6 and M=100), of which the one returned is kept. The full-table
 reference :func:`log_binom_tables` holds about four at once.
 
-The build also returns :class:`TailCheckpoints`: each row's running tail
-sums at every ``every``-th count, over the half of each tail the row reads,
-with the pmf terms. That is about an ``every``-th of the table plus two
-rows: 73 kB at S=1000, M=100 and every=16, against 0.81 MB. The gamma
-diagnostic keeps one table, the current one, and reads it with ``take``. It
-keeps the checkpoints of many, and answers a lookup into any of those by
-resuming its two tails for at most every - 1 terms, bit for bit
-(:meth:`TailCheckpoints.entries`).
+The build also returns :class:`TailCheckpoints`: every ``every``-th column
+of the finished table and five entries of each row around its middle, with
+the pmf terms. That is about an ``every``-th of the table: 67 kB at S=1000,
+M=100 and every=16, against 0.81 MB. The gamma diagnostic keeps one table,
+the current one, and reads it with ``take``. It keeps the checkpoints of
+many, and answers a lookup into any of those by resuming one tail for at
+most every - 1 terms, bit for bit (:meth:`TailCheckpoints.entries`).
 """
 
 from __future__ import annotations
@@ -121,21 +120,19 @@ def log_binom_tables(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_cdf, log_ge
 
 
-
 def log_binom_tail_minima(n: int, p: np.ndarray) -> np.ndarray:
     """[j, k] = min(log P(X <= k), log P(X >= k)) for X ~ Binomial(n, p_j), k = 0..n.
 
     Equal bit for bit to ``np.minimum(log_cdf, log_ge[:, :n + 1])`` of
     :func:`log_binom_tables`, for about half the work: the table of
-    :func:`log_binom_tail_checkpoints`, here keeping only each tail's first
-    term as a checkpoint.
+    :func:`log_binom_tail_checkpoints`, without its checkpoints.
     """
     return log_binom_tail_checkpoints(n, p, n + 1)[0]
 
 
 def log_binom_tail_checkpoints(
     n: int, p: np.ndarray, every: int
-) -> tuple[np.ndarray, TailCheckpoints]:
+) -> tuple[np.ndarray, TailCheckpoints | None]:
     """The table of :func:`log_binom_tail_minima` and its tails' checkpoints.
 
     Row j's lower tail is accumulated only up to about hi_j = floor(n p_j) + 2
@@ -144,11 +141,12 @@ def log_binom_tail_checkpoints(
     full table's bits. Outside [lo_j, hi_j] the minimum is one tail: the
     lower tail rises and the upper tail falls in k, also in floating point, so
     ``cdf[lo_j] <= ge[lo_j]`` and ``ge[hi_j] <= cdf[hi_j]`` prove it. Both are
-    checked; a row failing the check is built from the full tables.
+    checked; a row failing the check is built from the full tables, and the
+    build then returns no checkpoints.
 
-    The running sums at every ``every``-th count of each tail's used half are
-    kept as :class:`TailCheckpoints`, with the pmf terms, so that any entry
-    can be recomputed later without the table.
+    Otherwise every ``every``-th column of the table and each row's entries
+    at lo_j..lo_j + 4 are kept as :class:`TailCheckpoints`, with the pmf
+    terms, so that any entry can be recomputed later without the table.
     """
     if every < 1:
         raise ValueError("every must be at least 1")
@@ -174,48 +172,38 @@ def log_binom_tail_checkpoints(
     ge[:, 0] = 0.0
     rows = np.arange(cdf.shape[0])
     proven = (cdf[rows, lo] <= ge[rows, lo]) & (ge[rows, hi] <= cdf[rows, hi])
-    # point masses and unproven rows are kept whole, the rest by checkpoints
-    resumed = proven & (p > 0.0) & (p < 1.0)
-    lower_at, lower = _leading(cdf[:, ::every], np.where(resumed, hi // every + 1, 0))
-    upper_at, upper = _leading(ge[:, ::-every], np.where(resumed, (n - lo) // every + 1, 0))
     k = np.arange(n + 1)
     np.copyto(cdf, ge, where=k > hi[:, None])
     np.minimum(cdf, ge, out=cdf, where=(k >= lo[:, None]) & (k <= hi[:, None]))
     if not proven.all():
         log_cdf, log_ge = log_binom_tables(n, p[~proven])
         cdf[~proven] = np.minimum(log_cdf, log_ge[:, : n + 1])
+        return cdf, None
     checkpoints = TailCheckpoints(
         n=n,
         every=every,
         terms=terms,
         lo=lo,
         hi=hi,
-        lower=lower,
-        lower_at=lower_at,
-        upper=upper,
-        upper_at=upper_at,
-        whole=cdf[~resumed],
-        whole_at=np.where(resumed, -1, np.cumsum(~resumed) - 1),
+        grid=cdf[:, np.minimum(np.arange(-(-n // every) + 1) * every, n)],
+        window=cdf[rows[:, None], np.minimum(lo[:, None] + np.arange(5), n)],  # hi_j <= lo_j + 4
     )
     return cdf, checkpoints
 
 
-def _leading(columns: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's offset, and its first counts[j] entries of ``columns``, row after row."""
-    return np.cumsum(counts) - counts, columns[np.arange(columns.shape[1]) < counts[:, None]]
-
-
 @dataclass(frozen=True)
 class TailCheckpoints:
-    """Every ``every``-th running sum of the two tails behind one tail-minima table.
+    """Every ``every``-th column of a tail-minima table, and its window around each row's middle.
 
-    Row j keeps its lower tail log P(X <= k) at k = 0, every, 2 every, ... up
-    to hi_j and its upper tail log P(X >= k) at k = n, n - every, ... down to
-    lo_j: the halves its table row reads, about an every-th of the row.
-    A lookup resumes a tail from the nearest checkpoint and adds at most
-    every - 1 pmf terms, the same float operations in the same order as the
-    build, so :meth:`entries` returns the table's bits. Point-mass rows and
-    rows that failed the build's proof are kept whole.
+    ``grid[j, i]`` is table[j, min(i every, n)] and ``window[j, i]`` is
+    table[j, min(lo_j + i, n)]. Inside [lo_j, hi_j] a lookup reads the
+    window. Below lo_j the table is the lower tail log P(X <= k): a lookup
+    resumes it upward from the grid column at or below k. Above hi_j it is
+    the upper tail log P(X >= k), resumed downward from the grid column at or
+    above k. A resume adds at most every - 1 pmf terms, the same float
+    operations in the same order as the build, so :meth:`entries` returns
+    the table's bits; it never adds the k = 0 or k = n term, where a point
+    mass has 0 * log 0.
     """
 
     n: int
@@ -223,49 +211,32 @@ class TailCheckpoints:
     terms: tuple[np.ndarray, np.ndarray, np.ndarray]  # log C(n, k), log p, log q
     lo: np.ndarray
     hi: np.ndarray
-    lower: np.ndarray  # flat; row j's run starts at lower_at[j]
-    lower_at: np.ndarray
-    upper: np.ndarray  # flat; row j's run starts at upper_at[j]
-    upper_at: np.ndarray
-    whole: np.ndarray  # table rows kept whole
-    whole_at: np.ndarray  # row j's index into ``whole``, or -1
+    grid: np.ndarray
+    window: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        arrays = (*self.terms, self.lo, self.hi, self.lower, self.lower_at)
-        arrays += (self.upper, self.upper_at, self.whole, self.whole_at)
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in (*self.terms, self.lo, self.hi, self.grid, self.window))
 
     def entries(self, counts: np.ndarray) -> np.ndarray:
         """``table[j, counts[j, b]]`` for a (J, B) matrix of counts in 0..n."""
         rows = np.broadcast_to(np.arange(counts.shape[0])[:, None], counts.shape).ravel()
         k = counts.ravel()
-        out = np.full(k.size, np.inf)
-        at = self.whole_at[rows]
-        kept = at >= 0
-        out[kept] = self.whole[at[kept], k[kept]]
-        low = ~kept & (k <= self.hi[rows])
-        up = ~kept & (k >= self.lo[rows])
-        if low.any():
-            out[low] = self._lower(rows[low], k[low])
-        if up.any():
-            # inf outside [lo, hi], so the upper tail there; min(lower, upper) inside
-            out[up] = np.minimum(out[up], self._upper(rows[up], k[up]))
+        lo, hi = self.lo[rows], self.hi[rows]
+        # the window's entry inside [lo_j, hi_j]; one below or above is replaced
+        out = self.window[rows, np.clip(k - lo, 0, self.window.shape[1] - 1)]
+        below, above = k < lo, k > hi
+        if below.any():
+            col = k[below] // self.every
+            base = col * self.every
+            start = self.grid[rows[below], col]
+            out[below] = self._resume(rows[below], base, k[below] - base, 1, start)
+        if above.any():
+            col = -(-k[above] // self.every)
+            base = np.minimum(col * self.every, self.n)
+            start = self.grid[rows[above], col]
+            out[above] = self._resume(rows[above], base, base - k[above], -1, start)
         return out.reshape(counts.shape)
-
-    def _lower(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        step = k // self.every
-        base = step * self.every
-        got = self._resume(rows, base, k - base, 1, self.lower[self.lower_at[rows] + step])
-        got[k == self.n] = 0.0
-        return got
-
-    def _upper(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        step = (self.n - k) // self.every
-        base = self.n - step * self.every
-        got = self._resume(rows, base, base - k, -1, self.upper[self.upper_at[rows] + step])
-        got[k == 0] = 0.0
-        return got
 
     def _resume(self, rows, base, offset, direction, start) -> np.ndarray:
         """The tail at base + direction * offset, summed on from its value ``start`` at base.

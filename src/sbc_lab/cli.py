@@ -81,9 +81,7 @@ MODELS = {
 
 def _build(model: str, variant: str, n: int):
     """Generator, family, full quantity library, and the default thin stride."""
-    spec = MODELS.get(model)
-    if spec is None:
-        raise _ModelNameError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
+    spec = MODELS[model]
     if variant not in spec.variants:
         raise UsageError(
             f"unknown {model} variant {variant!r}; valid: {', '.join(spec.variants)}"
@@ -100,8 +98,8 @@ _RUN_KEYS = {
     "no_timestamp": bool,
 }
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+# The variant defaults to the model's first, its reference one.
 _RUN_DEFAULTS = {
-    "variant": "correct",
     "n": 3,
     "sims": 1000,
     "draws": 100,
@@ -136,6 +134,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         settings.setdefault(key, value)
     if "model" not in settings:
         raise _ModelNameError("--model is required (or provide it in --config)")
+    spec = MODELS.get(settings["model"])
+    if spec is None:
+        raise _ModelNameError(f"unknown model {settings['model']!r}; valid: {', '.join(MODELS)}")
+    settings.setdefault("variant", spec.variants[0])
     return settings
 
 
@@ -234,6 +236,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_discrete(args: argparse.Namespace) -> int:
+    if args.resolution < 100:
+        raise UsageError(f"--resolution must be at least 100, got {args.resolution}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     passing, values, residuals = bernoulli.discrete_sbc_scan(grid_resolution=args.resolution)

@@ -80,11 +80,7 @@ class RankSet:
     max_rank: int
 
     def __post_init__(self) -> None:
-        given = np.asarray(self.ranks)
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-            ranks = given.astype(int)
-        if not np.array_equal(ranks, given):
-            raise ValueError("ranks must be integers")
+        ranks = _integer_ranks(self.ranks)
         object.__setattr__(self, "ranks", ranks)
         if ranks.size and (ranks.min() < 0 or ranks.max() > self.max_rank):
             raise ValueError("ranks must lie in [0, max_rank]")
@@ -139,6 +135,16 @@ class EvolutionTrace:
         return float(self.log_ratio[-1])
 
 
+def _integer_ranks(given) -> np.ndarray:
+    """``given`` as an int array, or ValueError if any value is not an integer."""
+    given = np.asarray(given)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+        ranks = given.astype(int)
+    if not np.array_equal(ranks, given):
+        raise ValueError("ranks must be integers")
+    return ranks
+
+
 def _rank_counts(ranks: np.ndarray, M: int) -> np.ndarray:
     """R[i-1, b] = #{ranks[b] < i} for i = 1..M+1, per row b of a (B, S) rank matrix."""
     B = ranks.shape[0]
@@ -157,7 +163,7 @@ def _z_points(M: int) -> np.ndarray:
 _CHECKPOINT_EVERY = 16
 
 # Bytes of checkpoints kept. The 100 prefix tables of a trace at S=1000,
-# M=100 need about 4.0 MB, so two such traces fit; at large S the budget
+# M=100 need about 3.8 MB, so two such traces fit; at large S the budget
 # drops the oldest, down to none when one table's checkpoints exceed it.
 _CHECKPOINT_BYTES = 8 << 20
 
@@ -174,60 +180,49 @@ class _TailStore:
     also leaves its :class:`~sbc_lab.binomial.TailCheckpoints` in
     ``checkpoints``, least recently used first, within ``budget`` bytes; a
     table that is no longer current is then read by resuming its tails from
-    them, bit for bit, rather than built again. A table built a second time
-    (its lookups were too many to resume, or it was read whole) is kept whole
-    there in place of its checkpoints, and becomes current again without a
-    build.
+    them, bit for bit, rather than built again. A table built again, as its
+    lookups were too many to resume, keeps the checkpoints it has, which
+    have the same bits, and they become the most recently used. A build
+    that returns no checkpoints keeps nothing.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.key: tuple[int, int] | None = None
         self.table = np.empty((0, 0))
-        self.checkpoints: OrderedDict[tuple[int, int], TailCheckpoints | np.ndarray] = OrderedDict()
+        self.checkpoints: OrderedDict[tuple[int, int], TailCheckpoints] = OrderedDict()
         self.nbytes = 0
 
     def current(self, S: int, M: int) -> np.ndarray:
         """[i, k] = min(log P(X <= k), log P(X >= k)) for X ~ Bin(S, z_i), k = 0..S."""
         key = (S, M)
         if self.key != key:
-            kept = self.checkpoints.get(key)
-            if isinstance(kept, np.ndarray):
+            table, checkpoints = log_binom_tail_checkpoints(S, _z_points(M), _CHECKPOINT_EVERY)
+            table.flags.writeable = False
+            if key in self.checkpoints:
                 self.checkpoints.move_to_end(key)
-                table = kept
-            else:
-                table, checkpoints = log_binom_tail_checkpoints(S, _z_points(M), _CHECKPOINT_EVERY)
-                table.flags.writeable = False
-                self._keep(key, checkpoints if kept is None else table)
+            elif checkpoints is not None and checkpoints.nbytes <= self.budget:
+                self.checkpoints[key] = checkpoints
+                self.nbytes += checkpoints.nbytes
+                while self.nbytes > self.budget:
+                    self.nbytes -= self.checkpoints.popitem(last=False)[1].nbytes
             self.key, self.table = key, table
         return self.table
-
-    def _keep(self, key: tuple[int, int], kept: TailCheckpoints | np.ndarray) -> None:
-        if kept.nbytes > self.budget:
-            return  # whatever is stored for the key, such as its checkpoints, stays
-        old = self.checkpoints.pop(key, None)
-        if old is not None:
-            self.nbytes -= old.nbytes
-        self.checkpoints[key] = kept
-        self.nbytes += kept.nbytes
-        while self.nbytes > self.budget:
-            self.nbytes -= self.checkpoints.popitem(last=False)[1].nbytes
 
     def least(self, R: np.ndarray, S: int, M: int) -> np.ndarray:
         """min over i of table[i, R[i, b]], for an (M+1, B) count matrix R of the (S, M) table.
 
-        A current or whole kept table is read with ``take``. Otherwise the
-        stored checkpoints serve when the columns are few: a lookup resumes up
-        to two tails of _CHECKPOINT_EVERY terms, about the work of that many
-        table entries, so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider R
-        (the null pass's B = _N_MC) builds the table. With ``take``, R is
+        The current table is read with ``take``. Otherwise the stored
+        checkpoints serve when the columns are few: a lookup resumes one tail
+        for up to _CHECKPOINT_EVERY terms, about the work of that many table
+        entries, so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider R (the
+        null pass's B = _N_MC) builds the table. With ``take``, R is
         overwritten with flat table indices, which saves an (M+1, B)
         temporary.
         """
         key = (S, M)
         kept = self.checkpoints.get(key)
-        resumable = isinstance(kept, TailCheckpoints) and R.shape[1] * _CHECKPOINT_EVERY <= S + 1
-        if self.key != key and resumable:
+        if self.key != key and kept is not None and R.shape[1] * _CHECKPOINT_EVERY <= S + 1:
             self.checkpoints.move_to_end(key)
             return kept.entries(R).min(axis=0)
         table = self.current(S, M)
@@ -404,15 +399,15 @@ def evolution_table(
     checkpoints (see ``_TailStore``), so a trace over cached nulls, as in a
     loop over seeds or variants, builds a table again only where the
     checkpoints were never kept or were dropped for the byte budget, and
-    once for short prefixes, where a build costs less than resuming every
-    quantity's lookups; the store then keeps such a table whole.
+    for short prefixes, where a build costs less than resuming every
+    quantity's lookups.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     names = list(ranks_by_quantity)
     if not names:
         return []
-    rows = [np.asarray(ranks_by_quantity[q], dtype=int) for q in names]
+    rows = [_integer_ranks(ranks_by_quantity[q]) for q in names]
     S = rows[0].size
     if any(r.size != S for r in rows):
         raise ValueError("all quantities must have the same number of ranks")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -101,15 +103,22 @@ def test_checkpoint_lookups_equal_the_table_bit_for_bit(n, M, every, past_n, see
     assert got.tobytes() == np.take_along_axis(table, counts, axis=1).tobytes()
 
 
-def test_checkpoints_keep_the_used_half_of_each_tail():
+def test_checkpoints_keep_a_grid_and_a_window():
     n, every = 1000, 16
     p = np.arange(1, 102) / 101
-    _, checkpoints = log_binom_tail_checkpoints(n, p, every)
-    resumed = checkpoints.whole_at < 0
-    assert resumed.sum() == 100  # all but the point mass z = 1
-    lower = np.diff(np.append(checkpoints.lower_at, checkpoints.lower.size))
-    upper = np.diff(np.append(checkpoints.upper_at, checkpoints.upper.size))
-    assert np.array_equal(lower[resumed], checkpoints.hi[resumed] // every + 1)
-    assert np.array_equal(upper[resumed], (n - checkpoints.lo[resumed]) // every + 1)
-    assert checkpoints.whole.shape == (1, n + 1)
-    assert checkpoints.nbytes < log_binom_tail_minima(n, p).nbytes / 10
+    table, checkpoints = log_binom_tail_checkpoints(n, p, every)
+    # columns 0, 16, ..., 992 and the last column, 1000
+    assert checkpoints.grid.shape == (101, 64)
+    assert checkpoints.grid[:, :-1].tobytes() == table[:, ::every].tobytes()
+    assert checkpoints.grid[:, -1].tobytes() == table[:, n].tobytes()
+    assert checkpoints.window.shape == (101, 5)
+    assert checkpoints.nbytes < table.nbytes / 10
+
+
+def test_checkpoint_bytes_count_every_array():
+    _, checkpoints = log_binom_tail_checkpoints(100, np.arange(1, 22) / 21, 16)
+    arrays = []
+    for field in dataclasses.fields(checkpoints):
+        value = getattr(checkpoints, field.name)
+        arrays += value if isinstance(value, tuple) else [value]
+    assert checkpoints.nbytes == sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))

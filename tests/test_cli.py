@@ -339,6 +339,13 @@ class TestExitCodes:
         assert run_cli(*BASE, *argv, "--out", str(out), "--no-timestamp") in (0, 2)
         assert json.loads(read(out / "report.json"))["seed"] == seed
 
+    def test_variant_defaults_to_the_models_first(self, tmp_path):
+        # the simplex model has no "correct" variant; its reference is "min"
+        out = tmp_path / "out"
+        argv = ["run", "--model", "simplex", "--sims", "12", "--draws", "10", "--step", "6"]
+        assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 0
+        assert json.loads(read(out / "report.json"))["variant"] == "min"
+
     def test_unknown_variant_and_quantity(self, tmp_path):
         assert run_cli("run", "--model", "gaussian", "--variant", "bogus") == 1
         assert (
@@ -440,6 +447,12 @@ class TestOtherCommands:
         assert out.index("bernoulli") < out.index("gaussian") < out.index("simplex")
         assert "correct, phi-A, phi-B, phi-C" in out
         assert "gamma, min, softmax-bad, softmax-fixed" in out
+
+    def test_scan_resolution_below_100_rejected_before_running(self, tmp_path, capsys):
+        out = tmp_path / "scan"
+        assert run_cli("scan-discrete", "--resolution", "50", "--out", str(out)) == 1
+        assert "error: --resolution must be at least 100, got 50" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_discrete(self, tmp_path, capsys):
         out = tmp_path / "scan"

@@ -261,6 +261,16 @@ class TestEvolution:
         with pytest.raises(ValueError):
             evolution_table({"a": np.full(10, 101), "b": np.zeros(10, dtype=int)}, 100)
 
+    def test_non_integral_ranks_rejected(self):
+        ranks = stream(21, 5).integers(0, 50, size=40)
+        for bad in (ranks + 0.7, np.where(ranks == ranks[3], np.nan, ranks)):
+            with pytest.raises(ValueError, match="ranks must be integers"):
+                evolution_table({"a": ranks, "b": bad}, 50, step=20)
+        # integral floats are ranks
+        assert evolution_table({"a": ranks.astype(float)}, 50, step=20)[0].log_ratio.tolist() == (
+            evolution_table({"a": ranks}, 50, step=20)[0].log_ratio.tolist()
+        )
+
     def test_prefix_pass_matches_standalone_null(self):
         # the null of prefix n is the first n calibration rows, whether it is
         # filled on its own or by an evolution pass; 63, 64, 65 straddle a row block
@@ -324,26 +334,35 @@ class TestTailStore:
         assert built == [n for n in cold[0].n_sims if len(ranks) * every > n + 1]
         assert built[-1] < 400
 
-    def test_table_built_again_is_kept_whole(self, monkeypatch):
+    def test_a_table_built_again_keeps_its_checkpoints(self):
         store = _TailStore(1 << 30)
         table = store.current(100, 20)
+        kept = store.checkpoints[(100, 20)]
         store.current(200, 20)
         counts = stream(3, 0).integers(0, 101, size=(21, 20))  # 20 * 16 > 101: too many to resume
         expected = table[np.arange(21)[:, None], counts].min(axis=0)
         assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()
-        assert store.checkpoints[(100, 20)] is store.table
-        built = []
+        assert store.key == (100, 20)
+        assert list(store.checkpoints) == [(200, 20), (100, 20)]
+        assert store.checkpoints[(100, 20)] is kept
+        assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values())
+
+    def test_a_build_without_checkpoints_keeps_nothing(self, monkeypatch):
+        # a build with a row that fails its proof returns no checkpoints
         build = diagnostics.log_binom_tail_checkpoints
         monkeypatch.setattr(
             diagnostics,
             "log_binom_tail_checkpoints",
-            lambda n, p, every: built.append(n) or build(n, p, every),
+            lambda n, p, every: (build(n, p, every)[0], None),
         )
+        store = _TailStore(1 << 30)
+        table = store.current(100, 20)
         store.current(200, 20)
+        counts = stream(3, 0).integers(0, 101, size=(21, 3))  # few enough to resume, if kept
+        expected = table[np.arange(21)[:, None], counts].min(axis=0)
         assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()
-        assert store.least(counts[:, :1].copy(), 100, 20).tobytes() == expected[:1].tobytes()
-        assert built == [200]
-        assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values())
+        assert store.key == (100, 20)
+        assert not store.checkpoints and store.nbytes == 0
 
     def test_checkpoints_outlive_a_table_too_large_to_keep(self, monkeypatch):
         # the whole (3000, 100) table, about 2.4 MB, exceeds the budget that its
