@@ -7,21 +7,26 @@ direct log-space summation of probability mass terms, exact to float
 rounding.
 
 Memory, not accuracy, bounds the size: a table of tail minima is
-(M+1) x (S+1) float64, about 0.8 GB at S=10^6 and M=100.
+J x (S+1) float64 for J probabilities, about 0.8 GB at S=10^6 and J=101.
 :func:`log_binom_tail_checkpoints` accumulates its two tails in place of two
 copies of the pmf, in blocks of columns across all rows, so the build holds
-two full (M+1) x (S+1) arrays plus boolean masks of an eighth of that size:
-measured with tracemalloc, about 2.3 such arrays at its peak (about 1.8 GB
-at S=10^6 and M=100), of which the one returned is kept. The full-table
-reference :func:`log_binom_tables` holds about four at once.
+two full J x (S+1) arrays plus boolean masks of an eighth of that size:
+measured with tracemalloc, about 2.3 such arrays at its peak, of which the
+one returned is kept. The full-table reference :func:`log_binom_tables`
+holds about four at once. The gamma diagnostic builds only the ceil(M/2)
+rows of its grid z_i = i/(M+1) with z_i <= 1/2 and mirrors the rest (see
+``sbc_lab.diagnostics._tail_table``): at S=10^5 and M=100 that build and its
+mirrored (M+1) x (S+1) table peak at 124 MB under tracemalloc, against
+183 MB for building all 101 rows.
 
 The build also returns :class:`TailCheckpoints`: every ``every``-th column
 of the finished table and five entries of each row around its middle, with
-the pmf terms. That is about an ``every``-th of the table: 67 kB at S=1000,
-M=100 and every=16, against 0.81 MB. The gamma diagnostic keeps one table,
-the current one, and reads it with ``take``. It keeps the checkpoints of
-many, and answers a lookup into any of those by resuming one tail for at
-most every - 1 terms, bit for bit (:meth:`TailCheckpoints.entries`).
+the pmf terms. That is about an ``every``-th of the table: 37 kB for the 50
+built rows at S=1000, M=100 and every=16, against 0.81 MB for the whole
+(M+1) x (S+1) table. The gamma diagnostic keeps one table, the current one,
+and reads it with ``take``. It keeps the checkpoints of many, and answers a
+lookup into any of those by resuming one tail for at most every - 1 terms,
+bit for bit (:meth:`TailCheckpoints.entries`).
 """
 
 from __future__ import annotations
@@ -218,9 +223,15 @@ class TailCheckpoints:
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (*self.terms, self.lo, self.hi, self.grid, self.window))
 
-    def entries(self, counts: np.ndarray) -> np.ndarray:
-        """``table[j, counts[j, b]]`` for a (J, B) matrix of counts in 0..n."""
-        rows = np.broadcast_to(np.arange(counts.shape[0])[:, None], counts.shape).ravel()
+    def entries(self, counts: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """``table[rows[j], counts[j, b]]`` for a (J, B) matrix of counts in 0..n.
+
+        ``rows`` holds the table row that each row of counts reads, 0..J-1 if
+        not given; a row may be read by several.
+        """
+        if rows is None:
+            rows = np.arange(counts.shape[0])
+        rows = np.broadcast_to(rows[:, None], counts.shape).ravel()
         k = counts.ravel()
         lo, hi = self.lo[rows], self.hi[rows]
         # the window's entry inside [lo_j, hi_j]; one below or above is replaced

@@ -13,6 +13,10 @@ trace, with its threshold.
 All gamma arithmetic happens in log space through one kernel: one table of
 binomial tail minima per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank
 counts, read whole or resumed bit for bit from its stored tail checkpoints.
+The table is built only at the points z_i <= 1/2. The grid z_i = i/(M+1) is
+symmetric, and Bin(S, 1 - z) at count k is Bin(S, z) at S - k, so each row
+with z_i > 1/2 is the row of its mirror reversed, and a lookup into it reads
+the mirror at S - k; the z = 1 row is the point mass at S.
 The observed gamma, the null draws and every prefix of the evolution trace go
 through it, so a statistic that ties its threshold compares equal bit for
 bit. The simultaneous ECDF band is the acceptance region of that same
@@ -80,6 +84,7 @@ class RankSet:
     max_rank: int
 
     def __post_init__(self) -> None:
+        _check_max_rank(self.max_rank)
         ranks = _integer_ranks(self.ranks)
         object.__setattr__(self, "ranks", ranks)
         if ranks.size and (ranks.min() < 0 or ranks.max() > self.max_rank):
@@ -135,6 +140,12 @@ class EvolutionTrace:
         return float(self.log_ratio[-1])
 
 
+def _check_max_rank(M: int) -> None:
+    """ValueError unless M >= 1: with no rank but 0, every rank set is uniform and gamma is 2."""
+    if M < 1:
+        raise ValueError("M must be at least 1")
+
+
 def _integer_ranks(given) -> np.ndarray:
     """``given`` as an int array, or ValueError if any value is not an integer."""
     given = np.asarray(given)
@@ -163,14 +174,45 @@ def _z_points(M: int) -> np.ndarray:
 _CHECKPOINT_EVERY = 16
 
 # Bytes of checkpoints kept. The 100 prefix tables of a trace at S=1000,
-# M=100 need about 3.8 MB, so two such traces fit; at large S the budget
-# drops the oldest, down to none when one table's checkpoints exceed it.
+# M=100 need about 2.1 MB (37 kB for the 50 built rows at S=1000), so four
+# such traces fit; at large S the budget drops the oldest, down to none when
+# one table's checkpoints exceed it.
 _CHECKPOINT_BYTES = 8 << 20
 
 # Table rows gathered per ``take`` of a full-table lookup: all 101 rows at
 # once made a 4 MB temporary at M=100 and B = _N_MC = 5000, the peak of a
 # null pass; eight rows make 320 kB, in the same time.
 _TAKE_ROWS = 8
+
+
+def _mirror_rows(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The built row that each row r < M of the (S, M) table reads, and which read it reversed.
+
+    The grid is symmetric, z_{M+1-i} = 1 - z_i, and Bin(S, 1 - z) at count k
+    is Bin(S, z) at S - k, which swaps the two tails. So only the ceil(M/2)
+    rows with z_i <= 1/2 are built: row r reads built row min(r, M - 1 - r),
+    at count S - k when that is its mirror.
+    """
+    r = np.arange(M)
+    base = np.minimum(r, M - 1 - r)
+    return base, base < r
+
+
+def _tail_table(S: int, M: int) -> tuple[np.ndarray, TailCheckpoints | None]:
+    """The (S, M) tail-minima table, and the checkpoints of its built rows.
+
+    Only the rows with z_i <= 1/2 are built. Each row with z_i > 1/2 is the
+    row of its mirror reversed (see :func:`_mirror_rows`), and the z = 1 row
+    is the point mass at S, with the bits a build gives it.
+    """
+    half = (M + 1) // 2
+    built, checkpoints = log_binom_tail_checkpoints(S, _z_points(M)[:half], _CHECKPOINT_EVERY)
+    table = np.empty((M + 1, S + 1))
+    table[:half] = built
+    table[half:M] = built[: M - half][::-1, ::-1]  # a reversed view, so no temporary copy
+    table[M] = -np.inf
+    table[M, S] = 0.0
+    return table, checkpoints
 
 
 class _TailStore:
@@ -194,10 +236,10 @@ class _TailStore:
         self.nbytes = 0
 
     def current(self, S: int, M: int) -> np.ndarray:
-        """[i, k] = min(log P(X <= k), log P(X >= k)) for X ~ Bin(S, z_i), k = 0..S."""
+        """The (S, M) table of :func:`_tail_table`, built unless it is current."""
         key = (S, M)
         if self.key != key:
-            table, checkpoints = log_binom_tail_checkpoints(S, _z_points(M), _CHECKPOINT_EVERY)
+            table, checkpoints = _tail_table(S, M)
             table.flags.writeable = False
             if key in self.checkpoints:
                 self.checkpoints.move_to_end(key)
@@ -224,7 +266,10 @@ class _TailStore:
         kept = self.checkpoints.get(key)
         if self.key != key and kept is not None and R.shape[1] * _CHECKPOINT_EVERY <= S + 1:
             self.checkpoints.move_to_end(key)
-            return kept.entries(R).min(axis=0)
+            base, mirrored = _mirror_rows(M)
+            counts = np.where(mirrored[:, None], S - R[:M], R[:M])
+            point_mass = np.where(R[M] == S, 0.0, -np.inf)  # the z = 1 row
+            return np.minimum(kept.entries(counts, base).min(axis=0), point_mass)
         table = self.current(S, M)
         R += np.arange(0, (M + 1) * (S + 1), S + 1)[:, None]
         least = np.full(R.shape[1], np.inf)
@@ -286,6 +331,7 @@ def gamma_null_quantile(
     _check_null_args(level, n_mc)
     if S < 1:
         raise ValueError("S must be at least 1")
+    _check_max_rank(M)
     ranks = rng.integers(0, M + 1, size=(n_mc, S))
     log_gammas = _log_gammas_for_matrix(ranks, M)
     return float(np.exp(np.quantile(log_gammas, level)))
@@ -356,6 +402,7 @@ def log_gamma_null_quantile_cached(S: int, M: int) -> float:
     """Log of the 5 % null quantile from the fixed calibration stream, cached."""
     if S < 1:
         raise ValueError("S must be at least 1")
+    _check_max_rank(M)
     [(_, log_bar)] = _prefix_nulls([S], M)
     return log_bar
 
@@ -404,6 +451,7 @@ def evolution_table(
     """
     if step < 1:
         raise ValueError("step must be >= 1")
+    _check_max_rank(M)
     names = list(ranks_by_quantity)
     if not names:
         return []
@@ -466,7 +514,7 @@ def ecdf_band(S: int, M: int) -> EcdfBand:
     exactly when gamma does not reject it. Each table row rises and then
     falls in k, so the counts inside form an interval.
     """
-    log_bar = log_gamma_null_quantile_cached(S, M)
+    log_bar = log_gamma_null_quantile_cached(S, M)  # rejects S < 1 and M < 1
     inside = _LOG2 + _tails.current(S, M) >= log_bar
     return EcdfBand(
         S=S,

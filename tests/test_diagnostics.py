@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sbc_lab import diagnostics
-from sbc_lab.binomial import log_binom_tables
+from sbc_lab.binomial import log_binom_tables, log_binom_tail_minima
 from sbc_lab.cli import main
 from sbc_lab.core import run_sbc
 from sbc_lab.diagnostics import (
@@ -16,7 +17,10 @@ from sbc_lab.diagnostics import (
     RankSet,
     _null_cache,
     _null_rows,
+    _mirror_rows,
+    _tail_table,
     _TailStore,
+    _z_points,
     chi_square_uniformity,
     ecdf_band,
     evolution_table,
@@ -54,10 +58,15 @@ def exact_null_cdf(S, M, x, strict=False):
     next ECDF count R_i - r is Binomial(S - r, 1 / (M + 2 - i)). A dynamic
     program over r, kept inside the counts where every point's
     log 2 + tail[i, R_i] stays above x (at or above, if strict), gives the
-    probability that gamma clears x.
+    probability that gamma clears x. The tail rows are the package's table
+    definition, from the full tables: a row with z_i > 1/2 is the row of its
+    mirror z_{M+1-i} = 1 - z_i, reversed.
     """
     log_cdf, log_ge = log_binom_tables(S, np.arange(1, M + 2) / (M + 1))
-    tail = math.log(2.0) + np.minimum(log_cdf, log_ge[:, : S + 1])
+    minima = np.minimum(log_cdf, log_ge[:, : S + 1])
+    mirrored = np.arange((M + 1) // 2, M)
+    minima[mirrored] = minima[M - 1 - mirrored, ::-1]
+    tail = math.log(2.0) + minima
     inside = tail >= x if strict else tail > x
     r = np.arange(S + 1)
     p = np.zeros(S + 1)
@@ -83,6 +92,21 @@ class TestRankSet:
         for ranks in ([0.5, 1.7, 2.2], [0.0, 1.0, 2.5], [np.nan, 1.0], [np.inf]):
             with pytest.raises(ValueError, match="ranks must be integers"):
                 RankSet(np.array(ranks), 2)
+
+    def test_no_rank_besides_zero_rejected(self):
+        # with M = 0 every rank set is uniform: gamma would be 2 and pass, chi-square nan
+        with pytest.raises(ValueError, match="M must be at least 1"):
+            RankSet(np.zeros(5, dtype=int), 0)
+        ranks = np.zeros(5, dtype=int)
+        for call in (
+            lambda: evolution_table({"a": ranks}, 0),
+            lambda: evolution_trace(ranks, 0),
+            lambda: ecdf_band(5, 0),
+            lambda: log_gamma_null_quantile_cached(5, 0),
+            lambda: gamma_null_quantile(5, 0, 0.05, 1000, stream(0, 0)),
+        ):
+            with pytest.raises(ValueError, match="M must be at least 1"):
+                call()
 
     def test_integral_ranks_of_any_dtype_accepted(self):
         for ranks in ([0, 1, 2], np.array([0.0, 1.0, 2.0]), np.array([], dtype=float)):
@@ -303,6 +327,79 @@ class TestEvolution:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def exact_log_minima(S, i, M):
+    """log min(P(X <= k), P(X >= k)), X ~ Bin(S, i / (M + 1)), k = 0..S, summed at 60 digits."""
+    with mpmath.workdps(60):
+        z = mpmath.mpf(i) / (M + 1)
+        terms = [(1 - z) ** S]
+        for k in range(S):
+            terms.append(terms[-1] * (S - k) / (k + 1) * z / (1 - z))
+        lower = np.cumsum(np.array(terms, dtype=object))
+        upper = np.cumsum(np.array(terms[::-1], dtype=object))[::-1]
+        return np.array([float(mpmath.log(min(a, b))) for a, b in zip(lower, upper)])
+
+
+class TestMirroredTable:
+    """Rows with z_i > 1/2 are their mirrors z_{M+1-i} = 1 - z_i reversed; z = 1 is a point mass."""
+
+    @pytest.mark.parametrize("M", [1, 2, 99, 100])
+    @pytest.mark.parametrize("S", [1, 7, 1000])
+    def test_mirrored_rows_are_built_rows_reversed(self, S, M):
+        table, _ = _tail_table(S, M)
+        direct = log_binom_tail_minima(S, _z_points(M))
+        half = (M + 1) // 2
+        assert table[:half].tobytes() == direct[:half].tobytes()
+        for i in range(half + 1, M + 1):  # z_i > 1/2, 1-based
+            assert table[i - 1].tobytes() == table[M - i, ::-1].tobytes()
+        # the z = 1 row is the point mass the direct build gives
+        assert table[M].tobytes() == direct[M].tobytes()
+        assert table[M, S] == 0.0 and np.all(np.isneginf(table[M, :S]))
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 100])
+    @pytest.mark.parametrize("S", [1, 7, 100, 1000])
+    def test_checkpoint_lookups_into_mirrored_rows_equal_the_table(self, S, M):
+        table, checkpoints = _tail_table(S, M)
+        rng = stream(S, M)
+        counts = np.concatenate(
+            [np.tile([0, S], (M + 1, 1)), rng.integers(0, S + 1, size=(M + 1, 6))], axis=1
+        )
+        counts[:, 2:4] = rng.binomial(S, _z_points(M)[:, None], size=(M + 1, 2))
+        base, mirrored = _mirror_rows(M)
+        got = checkpoints.entries(np.where(mirrored[:, None], S - counts[:M], counts[:M]), base)
+        assert got.tobytes() == np.take_along_axis(table[:M], counts[:M], axis=1).tobytes()
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 100])
+    @pytest.mark.parametrize("S", [100, 1000])
+    def test_resumed_least_reads_mirrored_rows_and_the_point_mass(self, S, M):
+        store = _TailStore(1 << 30)
+        table = store.current(S, M)
+        store.current(S + 1, M)
+        R = np.sort(stream(S, M).integers(0, S + 1, size=(M + 1, 4)), axis=0)
+        R[M, :2] = S  # the z = 1 row reads 0 at S; a count matrix need not end there
+        expected = table[np.arange(M + 1)[:, None], R].min(axis=0)
+        assert store.least(R.copy(), S, M).tobytes() == expected.tobytes()
+        assert store.key == (S + 1, M)  # resumed, not built
+
+    @pytest.mark.parametrize("S", [10, 1000, 5000])
+    def test_deep_tails_of_mirrored_rows_match_mpmath(self, S):
+        # both a mirrored row and the direct build at the same z carry the
+        # gammaln cancellation in log C(S, k); the mirror's largest error must
+        # stay within twice the direct build's
+        M = 100
+        table, _ = _tail_table(S, M)
+        direct = log_binom_tail_minima(S, _z_points(M))
+        rng = stream(S, 0)
+        mirror_err, direct_err = [], []
+        for i in (52, 75, 100):  # z_i > 1/2, 1-based
+            exact = exact_log_minima(S, i, M)
+            ks = np.r_[0, S, rng.integers(0, S + 1, size=20)]
+            mirror_err.append(np.abs(table[i - 1, ks] - exact[ks]) / np.abs(exact[ks]))
+            direct_err.append(np.abs(direct[i - 1, ks] - exact[ks]) / np.abs(exact[ks]))
+        mirror_err, direct_err = np.concatenate(mirror_err), np.concatenate(direct_err)
+        assert mirror_err.max() <= 2 * direct_err.max()
+        assert mirror_err.max() < 1e-11
+
+
 class TestTailStore:
     @pytest.mark.parametrize("variant", ["correct", "prior-only"])
     def test_warm_trace_equals_cold_bit_for_bit(self, variant, monkeypatch):
@@ -333,6 +430,22 @@ class TestTailStore:
         every = diagnostics._CHECKPOINT_EVERY
         assert built == [n for n in cold[0].n_sims if len(ranks) * every > n + 1]
         assert built[-1] < 400
+
+    @pytest.mark.parametrize("M", [1, 2, 99, 100])
+    def test_a_cold_build_takes_the_points_up_to_one_half(self, M, monkeypatch):
+        given = []
+        build = diagnostics.log_binom_tail_checkpoints
+        monkeypatch.setattr(
+            diagnostics,
+            "log_binom_tail_checkpoints",
+            lambda n, p, every: given.append(p) or build(n, p, every),
+        )
+        store = _TailStore(1 << 30)
+        table = store.current(300, M)
+        assert table.shape == (M + 1, 301)
+        assert len(given) == 1 and given[0].tolist() == _z_points(M)[: math.ceil(M / 2)].tolist()
+        assert np.all(given[0] <= 0.5)
+        assert store.checkpoints[(300, M)].lo.shape == (math.ceil(M / 2),)
 
     def test_a_table_built_again_keeps_its_checkpoints(self):
         store = _TailStore(1 << 30)
@@ -440,7 +553,9 @@ class TestEcdfBand:
         band = ecdf_band(1000, 100)
         ranks = stream(3, 3).integers(0, 101, size=1000)
         assert band.pointwise_level == gamma_result(RankSet(ranks, 100)).gamma_bar
-        assert band.pointwise_level == 0.0028254968713009557
+        # 0.0028254968713009557 before the rows with z > 1/2 became their
+        # mirrors reversed; the counts in the band did not move
+        assert band.pointwise_level == 0.002825496871301111
         assert band.lower.tolist() == [
             2, 8, 15, 22, 30, 38, 47, 55, 63, 72, 81, 89, 98, 107, 116, 125, 134, 143, 152,
             161, 170, 180, 189, 198, 207, 217, 226, 236, 245, 254, 264, 273, 283, 292, 302,
@@ -512,7 +627,7 @@ def scipy_chisquare(rank_set, n_bins):
 class TestChiSquare:
     @given(
         S=st.integers(min_value=1, max_value=3000),
-        M=st.integers(min_value=0, max_value=250),
+        M=st.integers(min_value=1, max_value=250),
         n_bins=st.integers(min_value=1, max_value=300),
         skew=st.sampled_from([1.0, 0.9, 3.0]),
         key=st.integers(min_value=0, max_value=2**32),
@@ -528,7 +643,7 @@ class TestChiSquare:
         assert np.float64(res.p_value).tobytes() == np.float64(p_value).tobytes()
 
     def test_equals_scipy_chisquare_at_one_bin_and_low_expected(self):
-        for ranks, M, n_bins in (([0, 0, 3], 3, 1), ([0], 0, 5), (list(range(10)), 9, 10)):
+        for ranks, M, n_bins in (([0, 0, 3], 3, 1), ([0], 1, 5), (list(range(10)), 9, 10)):
             rank_set = RankSet(np.array(ranks), M)
             res = chi_square_uniformity(rank_set, n_bins=n_bins)
             expected = np.array(scipy_chisquare(rank_set, n_bins))
