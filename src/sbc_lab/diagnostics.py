@@ -9,7 +9,10 @@ The test has one configuration: gamma against the 5 % quantile of its null.
 There is one prefix-consistent calibration draw per M, at 5 000 draws: the
 null for S simulations is its first S rows, so one pass down the draw, a
 block of rows at a time, fills the null of every prefix of an evolution
-trace, with its threshold.
+trace, with its threshold. The pass holds one (M+1) x 5 000 int32 matrix of
+rank counts, and reads the table in blocks of points: a block's running
+sums are its ECDF counts, looked up and folded into each replicate's least
+entry before the next block is summed.
 All gamma arithmetic happens in log space through one kernel: one table of
 binomial tail minima per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank
 counts, read whole or resumed bit for bit from its stored tail checkpoints.
@@ -69,8 +72,9 @@ _N_MC = 5000
 # 2**63 + (M << 32) + _N_MC.
 _NULL_STREAM = 1 << 63
 
-# Rows per calibration draw call: the draws hold O(_ROW_BLOCK * width) ranks
-# in memory at any S.
+# Rows per calibration draw call: the draws hold O(_ROW_BLOCK * width) int32
+# ranks in memory at any S, and are added to one (M+1, _N_MC) int32 count
+# matrix, the only array of the null pass that grows with M.
 _ROW_BLOCK = 64
 
 _LOG2 = float(np.log(2.0))
@@ -179,9 +183,11 @@ _CHECKPOINT_EVERY = 16
 # one table's checkpoints exceed it.
 _CHECKPOINT_BYTES = 8 << 20
 
-# Table rows gathered per ``take`` of a full-table lookup: all 101 rows at
-# once made a 4 MB temporary at M=100 and B = _N_MC = 5000, the peak of a
-# null pass; eight rows make 320 kB, in the same time.
+# Points per block of a table lookup (see _take_least): a block's ECDF
+# counts become flat indices and one ``take``. All 101 rows at once made a
+# 4 MB temporary at M=100 and B = _N_MC = 5000; eight rows make 320 kB, in
+# the same time. The null pass also forms its running sums down the points
+# one block at a time, so it holds no (M+1, _N_MC) matrix of ECDF counts.
 _TAKE_ROWS = 8
 
 
@@ -254,13 +260,13 @@ class _TailStore:
     def least(self, R: np.ndarray, S: int, M: int) -> np.ndarray:
         """min over i of table[i, R[i, b]], for an (M+1, B) count matrix R of the (S, M) table.
 
-        The current table is read with ``take``. Otherwise the stored
-        checkpoints serve when the columns are few: a lookup resumes one tail
-        for up to _CHECKPOINT_EVERY terms, about the work of that many table
-        entries, so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider R (the
-        null pass's B = _N_MC) builds the table. With ``take``, R is
-        overwritten with flat table indices, which saves an (M+1, B)
-        temporary.
+        The current table is read with ``take``, in point blocks (see
+        :func:`_take_least`). Otherwise the stored checkpoints serve when the
+        columns are few: a lookup resumes one tail for up to
+        _CHECKPOINT_EVERY terms, about the work of that many table entries,
+        so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider R builds the
+        table. R is left as it is. The null pass does not come here: it
+        reads its table through :func:`_take_least` directly.
         """
         key = (S, M)
         kept = self.checkpoints.get(key)
@@ -270,29 +276,37 @@ class _TailStore:
             counts = np.where(mirrored[:, None], S - R[:M], R[:M])
             point_mass = np.where(R[M] == S, 0.0, -np.inf)  # the z = 1 row
             return np.minimum(kept.entries(counts, base).min(axis=0), point_mass)
-        table = self.current(S, M)
-        R += np.arange(0, (M + 1) * (S + 1), S + 1)[:, None]
-        least = np.full(R.shape[1], np.inf)
-        for start in range(0, M + 1, _TAKE_ROWS):
-            np.minimum(least, np.take(table, R[start : start + _TAKE_ROWS]).min(axis=0), out=least)
-        return least
+        blocks = (R[start : start + _TAKE_ROWS] for start in range(0, M + 1, _TAKE_ROWS))
+        return _take_least(self.current(S, M), blocks, R.shape[1])
+
+
+def _take_least(table: np.ndarray, blocks, width: int) -> np.ndarray:
+    """min over the points i of table[i, R[i, b]], for a count matrix R read in point blocks.
+
+    ``blocks`` yields the rows of R in order, up to _TAKE_ROWS at a time, each
+    (rows, width). Each block is turned into intp flat indices of the table,
+    so its entries are one ``take``, whatever the dtype of the counts.
+    """
+    row_start = np.arange(0, table.size, table.shape[1], dtype=np.intp)[:, None]
+    least = np.full(width, np.inf)
+    start = 0
+    for block in blocks:
+        flat = block + row_start[start : start + len(block)]
+        np.minimum(least, np.take(table, flat).min(axis=0), out=least)
+        start += len(block)
+    return least
 
 
 _tails = _TailStore(_CHECKPOINT_BYTES)
 
 
-def _log_gammas_from_counts(R: np.ndarray, S: int, M: int) -> np.ndarray:
-    """Log gamma of each column of an (M+1, B) matrix of ECDF counts of S ranks.
-
-    The counts are point-major: row i holds every rank set's count at point
-    i + 1, so each row reads one row of the table. R may be overwritten.
-    """
-    return _LOG2 + _tails.least(R, S, M)
-
-
 def _log_gammas_for_matrix(ranks: np.ndarray, M: int) -> np.ndarray:
-    """Log gamma of each row of an (B, S) rank matrix."""
-    return _log_gammas_from_counts(_rank_counts(ranks, M), ranks.shape[1], M)
+    """Log gamma of each row of an (B, S) rank matrix.
+
+    Its ECDF counts are point-major, (M+1, B): row i holds every rank set's
+    count at point i + 1, so each row reads one row of the table.
+    """
+    return _LOG2 + _tails.least(_rank_counts(ranks, M), ranks.shape[1], M)
 
 
 def log_gamma_statistic(rank_set: RankSet) -> float:
@@ -344,33 +358,50 @@ _log_bar_cache: dict[tuple[int, int], float] = {}
 
 
 def _null_rows(n: int, M: int):
-    """First n rows of the calibration draw for M, in row blocks.
+    """First n rows of the calibration draw for M, in int32 row blocks.
 
     Row s holds simulation s of each of the _N_MC null replicates (columns).
     Successive draws from one generator continue its sequence, so the blocks
-    stacked are bit for bit the one-shot ``integers(0, M + 1, size=(n, _N_MC))``.
+    stacked are bit for bit the one-shot ``integers(0, M + 1, size=(n, _N_MC))``;
+    below 2**32 an int32 draw takes the same values as the int64 one, and
+    leaves the stream in the same state.
     """
     rng = stream(NULL_CALIBRATION_SEED, _NULL_STREAM + (M << 32) + _N_MC)
     for start in range(0, n, _ROW_BLOCK):
-        yield rng.integers(0, M + 1, size=(min(_ROW_BLOCK, n - start), _N_MC))
+        yield rng.integers(0, M + 1, size=(min(_ROW_BLOCK, n - start), _N_MC), dtype=np.int32)
+
+
+def _running_sums(counts: np.ndarray):
+    """The running sums of ``counts`` down its rows, _TAKE_ROWS rows at a time."""
+    total = np.zeros(counts.shape[1], dtype=counts.dtype)
+    for start in range(0, len(counts), _TAKE_ROWS):
+        rows = counts[start : start + _TAKE_ROWS]
+        block = np.empty_like(rows)
+        for i, row in enumerate(rows):
+            # a running add per point: cumsum(axis=0) walks the columns
+            total = np.add(total, row, out=block[i])
+        yield block
 
 
 def _prefix_nulls(lengths: list[int], M: int):
     """Yield (n, log gamma_bar) for each ascending prefix length n.
 
     A missing null is filled in the same pass: the rows of the calibration
-    draw are added block by block to running point-major (M+1, _N_MC) rank
-    counts, whose running sum down the points gives the ECDF counts at each
-    missing n. The sorted null and its _LEVEL quantile are stored together.
-    A fill reads every count through the (n, M) table itself, built here
-    unless current, so when a filled n is yielded the caller's own kernel
-    call at n reads that table too. A hit builds nothing: the caller's call
-    then resumes from the checkpoints of an earlier build, and builds the
-    table only when none are stored or it has too many rank sets to resume
-    (see ``_TailStore.least``).
+    draw are added block by block to one running point-major (M+1, _N_MC)
+    int32 matrix of rank counts. Its running sum down the points, taken
+    _TAKE_ROWS points at a time, gives the ECDF counts at each missing n,
+    and each block is read from the (n, M) table and folded into the least
+    entry of each replicate (see :func:`_take_least`), so no (M+1, _N_MC)
+    matrix of ECDF counts is held. The sorted null and its _LEVEL quantile
+    are stored together. A fill builds the (n, M) table unless it is
+    current, so when a filled n is yielded the caller's own kernel call at n
+    reads that table too. A hit builds nothing: the caller's call then
+    resumes from the checkpoints of an earlier build, and builds the table
+    only when none are stored or it has too many rank sets to resume (see
+    ``_TailStore.least``).
     """
     blocks = _null_rows(lengths[-1], M)  # lazy: opens the stream on the first miss
-    block = np.empty((0, _N_MC), dtype=np.int64)
+    block = np.empty((0, _N_MC), dtype=np.int32)
     counted = 0
     counts = None  # allocated on the first miss: hits, the warm path, need none
     for n in lengths:
@@ -378,21 +409,21 @@ def _prefix_nulls(lengths: list[int], M: int):
         if key not in _null_cache:
             if counts is None:
                 # counts[v, b]: rank v among the counted rows of replicate b
-                counts = np.zeros((M + 1, _N_MC), dtype=np.int64)
+                counts = np.zeros((M + 1, _N_MC), dtype=np.int32)
                 replicate = np.arange(_N_MC)
-                R = np.empty_like(counts)
             while counted < n:
                 if not len(block):
                     block = next(blocks)
                 take = min(n - counted, len(block))
-                np.add.at(counts.reshape(-1), block[:take] * _N_MC + replicate, 1)
+                # intp, as block * _N_MC overflows int32 once M exceeds about 429 000
+                flat = np.multiply(block[:take], _N_MC, dtype=np.intp)
+                flat += replicate
+                # an int32 one: a Python 1 sends add.at down a slow path
+                np.add.at(counts.reshape(-1), flat, np.int32(1))
                 block = block[take:]
                 counted += take
-            # a running add per point: cumsum(axis=0) walks the columns
-            R[0] = counts[0]
-            for i in range(1, M + 1):
-                np.add(R[i - 1], counts[i], out=R[i])
-            log_null = np.sort(_log_gammas_from_counts(R, n, M))
+            least = _take_least(_tails.current(n, M), _running_sums(counts), _N_MC)
+            log_null = np.sort(_LOG2 + least)
             _log_bar_cache[key] = float(np.quantile(log_null, _LEVEL))
             _null_cache[key] = log_null
         yield n, _log_bar_cache[key]

@@ -129,11 +129,18 @@ class GaussianPosterior:
         # sqrt(1 / (n + 1)) differ in the last bit for some n (2, 5, 7, ...);
         # tests/test_golden.py pins each variant's draws with its own.
         sd = 1.0 / np.sqrt(self.n + 1)
+        # Scaled and shifted in place: elementwise the arithmetic of
+        # mean + sqrt(scale) * z @ _CHOL.T, so the same bits, with at most two
+        # (g, M, 2) arrays alive.
         if self.name == "independent-marginals":
-            return mean + sd * z
+            z *= sd
+            z += mean
+            return z
         if self.name == "small-bias":
             mean = mean + _BIAS_SD * shift
-        draws = mean + np.sqrt(self.scale) * z @ _CHOL.T
+        z *= np.sqrt(self.scale)
+        draws = z @ _CHOL.T
+        draws += mean
         if self.name == "non-monotonic":
             u = ndtr((draws - mean) / sd)
             # grand_mean_positive of each dataset, as one reduction per row

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,13 +13,17 @@ from sbc_lab.binomial import log_binom_tables, log_binom_tail_minima
 from sbc_lab.cli import main
 from sbc_lab.core import run_sbc
 from sbc_lab.diagnostics import (
+    _N_MC,
     _NULL_STREAM,
+    _TAKE_ROWS,
     NULL_CALIBRATION_SEED,
     RankSet,
     _null_cache,
     _null_rows,
     _mirror_rows,
+    _running_sums,
     _tail_table,
+    _take_least,
     _TailStore,
     _z_points,
     chi_square_uniformity,
@@ -325,6 +330,67 @@ class TestEvolution:
         main(argv + [str(tmp_path / "b")])
         for name in ("report.json", "evolution.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestNullPass:
+    """The null pass holds one int32 count matrix and reads its table in point blocks."""
+
+    @pytest.mark.parametrize("M", [1, 2, 100, 1000, 65535])
+    def test_int32_calibration_draw_equals_the_int64_draw(self, M):
+        key = _NULL_STREAM + (M << 32) + _N_MC
+        narrow, wide = stream(NULL_CALIBRATION_SEED, key), stream(NULL_CALIBRATION_SEED, key)
+        for rows in (1, 64, 7):
+            drawn = narrow.integers(0, M + 1, size=(rows, _N_MC), dtype=np.int32)
+            assert drawn.dtype == np.int32
+            assert np.array_equal(drawn, wide.integers(0, M + 1, size=(rows, _N_MC)))
+            assert repr(narrow.bit_generator.state) == repr(wide.bit_generator.state)
+        rows = np.concatenate(list(_null_rows(72, M)))
+        assert rows.dtype == np.int32
+        rng = stream(NULL_CALIBRATION_SEED, key)
+        assert np.array_equal(rows, rng.integers(0, M + 1, size=(72, _N_MC)))
+
+    @pytest.mark.parametrize("M", [1, 7, 8, 100])  # M + 1 below, at and past _TAKE_ROWS
+    def test_take_loop_equals_a_whole_table_take(self, M):
+        S, B = 60, 300
+        table, _ = _tail_table(S, M)
+        R = np.sort(stream(S, M).integers(0, S + 1, size=(M + 1, B)), axis=0)
+        R[M] = S
+        R[:, :2] = [0, S]  # the ends of every row
+        whole = np.take(table, R + np.arange(0, (M + 1) * (S + 1), S + 1)[:, None]).min(axis=0)
+        blocks = (R[start : start + _TAKE_ROWS] for start in range(0, M + 1, _TAKE_ROWS))
+        assert _take_least(table, blocks, B).tobytes() == whole.tobytes()
+        # the null pass's blocks: running sums of int32 counts per rank value
+        counts = np.diff(R, axis=0, prepend=0).astype(np.int32)
+        assert _take_least(table, _running_sums(counts), B).tobytes() == whole.tobytes()
+        store = _TailStore(1 << 30)
+        store.current(S, M)
+        given = R.copy()
+        assert store.least(given, S, M).tobytes() == whole.tobytes()
+        assert np.array_equal(given, R)  # the take path leaves R as it is
+
+    def test_a_cold_null_holds_no_int64_matrix_per_point(self, monkeypatch):
+        # one (M+1) x _N_MC int64 matrix, 40 MB at M = 1000, plus the table's
+        # build: a pass with int64 counts, or with their running sums as a
+        # second matrix, peaks above it
+        S, M = 300, 1000
+        monkeypatch.setattr(diagnostics, "_tails", _TailStore(diagnostics._CHECKPOINT_BYTES))
+        monkeypatch.delitem(_null_cache, (S, M), raising=False)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _tail_table(S, M)
+            build = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            log_gamma_null_quantile_cached(S, M)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < (M + 1) * _N_MC * 8 + build
 
 
 def exact_log_minima(S, i, M):
