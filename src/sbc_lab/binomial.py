@@ -21,8 +21,8 @@ mirrored (M+1) x (S+1) table peak at 124 MB under tracemalloc, against
 
 The build also returns :class:`TailCheckpoints`: every ``every``-th column
 of the finished table and five entries of each row around its middle, with
-the pmf terms. That is about an ``every``-th of the table: 37 kB for the 50
-built rows at S=1000, M=100 and every=16, against 0.81 MB for the whole
+the pmf terms. That is about an ``every``-th of the table: 62 kB for the 50
+built rows at S=1000, M=100 and every=8, against 0.81 MB for the whole
 (M+1) x (S+1) table. The gamma diagnostic keeps one table, the current one,
 and reads it with ``take``. It keeps the checkpoints of many, and answers a
 lookup into any of those by resuming one tail for at most every - 1 terms,

@@ -172,13 +172,15 @@ def _z_points(M: int) -> np.ndarray:
 
 
 # Counts between two checkpoints of a tail: a lookup resumed from them adds
-# at most this many pmf terms. At 16, the warm evolution trace of eleven
-# quantities at S=1000, M=100, step 10 took 0.13 s by resuming, against 0.33 s
-# for building its 100 tables.
-_CHECKPOINT_EVERY = 16
+# at most this many - 1 pmf terms, and a trace of B quantities resumes from
+# n = B * _CHECKPOINT_EVERY - 1 on (see _TailStore.least). At 8, the warm
+# evolution trace of eleven quantities at S=1000, M=100, step 10 builds 8
+# short tables and took 0.05-0.06 s, against 0.09 s at 16 (17 tables) and
+# 0.22-0.24 s for building all 100 tables.
+_CHECKPOINT_EVERY = 8
 
 # Bytes of checkpoints kept. The 100 prefix tables of a trace at S=1000,
-# M=100 need about 2.1 MB (37 kB for the 50 built rows at S=1000), so four
+# M=100 need about 3.3 MB (62 kB for the 50 built rows at S=1000), so two
 # such traces fit; at large S the budget drops the oldest, down to none when
 # one table's checkpoints exceed it.
 _CHECKPOINT_BYTES = 8 << 20
@@ -546,14 +548,15 @@ def ecdf_band(S: int, M: int) -> EcdfBand:
     falls in k, so the counts inside form an interval.
     """
     log_bar = log_gamma_null_quantile_cached(S, M)  # rejects S < 1 and M < 1
-    inside = _LOG2 + _tails.current(S, M) >= log_bar
-    return EcdfBand(
-        S=S,
-        M=M,
-        pointwise_level=float(np.exp(log_bar)),
-        lower=inside.argmax(axis=1),
-        upper=S - inside[:, ::-1].argmax(axis=1),
-    )
+    table = _tails.current(S, M)
+    lower = np.empty(M + 1, dtype=np.intp)
+    upper = np.empty(M + 1, dtype=np.intp)
+    # _TAKE_ROWS rows at a time, so no temporary the size of the table
+    for start in range(0, M + 1, _TAKE_ROWS):
+        inside = _LOG2 + table[start : start + _TAKE_ROWS] >= log_bar
+        lower[start : start + len(inside)] = inside.argmax(axis=1)
+        upper[start : start + len(inside)] = S - inside[:, ::-1].argmax(axis=1)
+    return EcdfBand(S=S, M=M, pointwise_level=float(np.exp(log_bar)), lower=lower, upper=upper)
 
 
 def split_ranks(

@@ -497,6 +497,27 @@ class TestTailStore:
         assert built == [n for n in cold[0].n_sims if len(ranks) * every > n + 1]
         assert built[-1] < 400
 
+    def test_a_warm_trace_of_eleven_quantities_resumes_from_n_87(self, monkeypatch):
+        # the warm loop over seeds and variants: eleven quantities at S = 1000,
+        # M = 100, step 10, after a trace that left every table's checkpoints
+        ranks = dict(enumerate(stream(21, 0).integers(0, 101, size=(11, 1000))))
+        monkeypatch.setattr(diagnostics, "_tails", _TailStore(diagnostics._CHECKPOINT_BYTES))
+        cold = evolution_table(ranks, 100, step=10)
+        assert len(diagnostics._tails.checkpoints) == 100
+        built = []
+        build = diagnostics.log_binom_tail_checkpoints
+        monkeypatch.setattr(
+            diagnostics,
+            "log_binom_tail_checkpoints",
+            lambda n, p, every: built.append(n) or build(n, p, every),
+        )
+        warm = evolution_table(ranks, 100, step=10)
+        for a, b in zip(cold, warm):
+            assert a.log_ratio.tobytes() == b.log_ratio.tobytes()
+        every = diagnostics._CHECKPOINT_EVERY
+        assert built == [n for n in range(10, 1001, 10) if 11 * every > n + 1]
+        assert built == list(range(10, 81, 10))  # spacing 8: B * 8 <= n + 1 from n = 87 on
+
     @pytest.mark.parametrize("M", [1, 2, 99, 100])
     def test_a_cold_build_takes_the_points_up_to_one_half(self, M, monkeypatch):
         given = []
@@ -518,7 +539,7 @@ class TestTailStore:
         table = store.current(100, 20)
         kept = store.checkpoints[(100, 20)]
         store.current(200, 20)
-        counts = stream(3, 0).integers(0, 101, size=(21, 20))  # 20 * 16 > 101: too many to resume
+        counts = stream(3, 0).integers(0, 101, size=(21, 20))  # 20 * 8 > 101: too many to resume
         expected = table[np.arange(21)[:, None], counts].min(axis=0)
         assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()
         assert store.key == (100, 20)
@@ -550,7 +571,8 @@ class TestTailStore:
         store.current(3000, 100)
         kept = store.checkpoints[(3000, 100)]
         store.current(200, 100)
-        counts = stream(4, 0).integers(0, 3001, size=(101, 200))  # too many to resume
+        width = 3001 // diagnostics._CHECKPOINT_EVERY + 1  # too many to resume
+        counts = stream(4, 0).integers(0, 3001, size=(101, width))
         store.least(counts.copy(), 3000, 100)
         assert store.key == (3000, 100)
         assert store.checkpoints[(3000, 100)] is kept
@@ -640,6 +662,52 @@ class TestEcdfBand:
             857, 866, 875, 884, 893, 902, 911, 919, 928, 937, 945, 953, 962, 970, 978, 985,
             992, 998, 1000,
         ]  # fmt: skip
+
+    @pytest.mark.parametrize("S, M", [(1, 1), (10, 7), (57, 9), (300, 20), (1000, 100)])
+    def test_band_equals_the_whole_table_comparison(self, S, M):
+        # M + 1 below, at and past _TAKE_ROWS, and not a multiple of it
+        band = ecdf_band(S, M)
+        inside = diagnostics._LOG2 + _tail_table(S, M)[0] >= log_gamma_null_quantile_cached(S, M)
+        assert band.lower.tobytes() == inside.argmax(axis=1).tobytes()
+        assert band.upper.tobytes() == (S - inside[:, ::-1].argmax(axis=1)).tobytes()
+
+    def test_band_keeps_the_rounding_of_gamma(self, monkeypatch):
+        # a threshold one ulp above log 2 + entry: the test rejects a rank set
+        # whose least entry that is, though entry >= log_bar - log 2 holds,
+        # so the entry's count lies outside the band
+        S, M, i = 300, 20, 5
+        table, _ = _tail_table(S, M)
+        log2 = diagnostics._LOG2
+        rising = table[i, : table[i].argmax()]
+        log_bars = np.nextafter(log2 + rising, np.inf)
+        k = np.flatnonzero(log_bars - log2 <= rising)[-1]
+        monkeypatch.setattr(diagnostics, "log_gamma_null_quantile_cached", lambda S, M: log_bars[k])
+        band = ecdf_band(S, M)
+        assert band.lower[i] > k
+        inside = log2 + table >= log_bars[k]
+        assert band.lower.tobytes() == inside.argmax(axis=1).tobytes()
+        assert band.upper.tobytes() == (S - inside[:, ::-1].argmax(axis=1)).tobytes()
+
+    def test_band_of_a_current_table_holds_no_whole_table_temporary(self, monkeypatch):
+        # one (M+1) x (S+1) float64 array is 8 MB here, and a boolean mask of
+        # the whole table 1 MB; comparing the table whole peaked at 9.0 MB
+        S, M = 1000, 1000
+        monkeypatch.setattr(diagnostics, "_tails", _TailStore(diagnostics._CHECKPOINT_BYTES))
+        expected = ecdf_band(S, M)  # fills the null and makes the table current
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            band = ecdf_band(S, M)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert band.lower.tobytes() == expected.lower.tobytes()
+        assert band.upper.tobytes() == expected.upper.tobytes()
+        assert peak < (M + 1) * (S + 1)
 
     def test_band_is_the_gamma_acceptance_region(self):
         # band.contains and the 5% gamma verdict agree on every rank set:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr, ndtri
@@ -217,6 +217,36 @@ class TestVariantSamplers:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             gaussian.make_variant("nosuch", n=3)
+
+
+class TestQuadraticForm:
+    @given(
+        N=st.integers(min_value=1, max_value=5000),
+        log_scale=st.floats(min_value=-3.0, max_value=3.0),
+        zero=st.sampled_from([0.0, -0.0]),
+        layout=st.sampled_from(["draws", "data", "density"]),
+        key=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(N=1, log_scale=0.0, zero=-0.0, layout="draws", key=0)
+    @example(N=2, log_scale=0.0, zero=-0.0, layout="data", key=0)
+    @example(N=3, log_scale=0.0, zero=-0.0, layout="density", key=0)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_einsum_bit_for_bit(self, N, log_scale, zero, layout, key):
+        # rows of N differences, a tenth of their entries exact zeros of one sign,
+        # laid out as _log_lik (N draws of one point, or one draw of N points)
+        # or log_density (N draws of one dataset) lays them out
+        rng = stream(key, N)
+        values = rng.standard_normal((N, 2)) * 10.0**log_scale
+        values[rng.random((N, 2)) < 0.1] = zero
+        if layout == "draws":
+            diff = np.zeros((1, 1, 2))[:, None, :, :] - values[None, :, None, :]
+        elif layout == "data":
+            diff = values[None, :, :][:, None, :, :] - np.zeros((1, 1, 2))[:, :, None, :]
+        else:
+            diff = values - np.zeros(2)[None, :]
+        rows = diff.reshape(-1, 2)
+        expected = np.einsum("ni,ij,nj->n", rows, gaussian._SIGMA_INV, rows)
+        assert gaussian._quadratic_form(rows).tobytes() == expected.tobytes()
 
 
 class TestQuantities:
