@@ -28,7 +28,6 @@ test: the counts whose table entries clear the null quantile.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -181,8 +180,8 @@ _CHECKPOINT_EVERY = 8
 
 # Bytes of checkpoints kept. The 100 prefix tables of a trace at S=1000,
 # M=100 need about 3.3 MB (62 kB for the 50 built rows at S=1000), so two
-# such traces fit; at large S the budget drops the oldest, down to none when
-# one table's checkpoints exceed it.
+# such traces fit; a longer trace keeps its first prefixes up to the budget,
+# and none when one table's checkpoints exceed it.
 _CHECKPOINT_BYTES = 8 << 20
 
 # Points per block of a table lookup (see _take_least): a block's ECDF
@@ -224,15 +223,18 @@ def _tail_table(S: int, M: int) -> tuple[np.ndarray, TailCheckpoints | None]:
 
 
 class _TailStore:
-    """The current tail-minima table, and the tail checkpoints of recent ones.
+    """The current tail-minima table, and the tail checkpoints of the tables that fit.
 
     The table last built is current and is read with ``take``. Each build
-    also leaves its :class:`~sbc_lab.binomial.TailCheckpoints` in
-    ``checkpoints``, least recently used first, within ``budget`` bytes; a
-    table that is no longer current is then read by resuming its tails from
-    them, bit for bit, rather than built again. A table built again, as its
-    lookups were too many to resume, keeps the checkpoints it has, which
-    have the same bits, and they become the most recently used. A build
+    leaves its :class:`~sbc_lab.binomial.TailCheckpoints` in ``checkpoints``
+    if they fit in what is left of ``budget`` bytes; a table that is no
+    longer current is then read by resuming its tails from them, bit for
+    bit, rather than built again. Nothing kept is dropped or reordered: a
+    warm evolution trace scans its prefix sizes in the same order every
+    time, so the first checkpoints that fit are the ones each later scan
+    resumes from, where dropping the oldest would drop each one just before
+    a scan reads it. A table built again, as its lookups were too many to
+    resume, keeps the checkpoints it has, which have the same bits. A build
     that returns no checkpoints keeps nothing.
     """
 
@@ -240,7 +242,7 @@ class _TailStore:
         self.budget = budget
         self.key: tuple[int, int] | None = None
         self.table = np.empty((0, 0))
-        self.checkpoints: OrderedDict[tuple[int, int], TailCheckpoints] = OrderedDict()
+        self.checkpoints: dict[tuple[int, int], TailCheckpoints] = {}
         self.nbytes = 0
 
     def current(self, S: int, M: int) -> np.ndarray:
@@ -249,13 +251,10 @@ class _TailStore:
         if self.key != key:
             table, checkpoints = _tail_table(S, M)
             table.flags.writeable = False
-            if key in self.checkpoints:
-                self.checkpoints.move_to_end(key)
-            elif checkpoints is not None and checkpoints.nbytes <= self.budget:
+            fits = checkpoints is not None and self.nbytes + checkpoints.nbytes <= self.budget
+            if fits and key not in self.checkpoints:
                 self.checkpoints[key] = checkpoints
                 self.nbytes += checkpoints.nbytes
-                while self.nbytes > self.budget:
-                    self.nbytes -= self.checkpoints.popitem(last=False)[1].nbytes
             self.key, self.table = key, table
         return self.table
 
@@ -273,7 +272,6 @@ class _TailStore:
         key = (S, M)
         kept = self.checkpoints.get(key)
         if self.key != key and kept is not None and R.shape[1] * _CHECKPOINT_EVERY <= S + 1:
-            self.checkpoints.move_to_end(key)
             base, mirrored = _mirror_rows(M)
             counts = np.where(mirrored[:, None], S - R[:M], R[:M])
             point_mass = np.where(R[M] == S, 0.0, -np.inf)  # the z = 1 row
@@ -478,7 +476,7 @@ def evolution_table(
     built. A prefix whose null was cached reads its table's stored
     checkpoints (see ``_TailStore``), so a trace over cached nulls, as in a
     loop over seeds or variants, builds a table again only where the
-    checkpoints were never kept or were dropped for the byte budget, and
+    checkpoints were not kept, as they did not fit the byte budget, and
     for short prefixes, where a build costs less than resuming every
     quantity's lookups.
     """

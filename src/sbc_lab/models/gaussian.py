@@ -178,39 +178,21 @@ def _log_lik(draws: np.ndarray, ys) -> np.ndarray:
     return out.reshape(draws.shape[:2])
 
 
-# einsum orders the terms of a quadratic form differently when it has fewer
-# than three rows, so simulations with fewer draws than that are evaluated
-# one at a time, as the evaluator does.
-_EINSUM_MIN_ROWS = 3
-
-
 def _quadratic_form(rows: np.ndarray) -> np.ndarray:
-    """rows[n] @ _SIGMA_INV @ rows[n] for each row of an (N, 2) array, with einsum's bits.
+    """rows[n] @ _SIGMA_INV @ rows[n] for each row of an (N, 2) array.
 
-    From _EINSUM_MIN_ROWS rows on, ``einsum("ni,ij,nj->n")`` adds the terms
-    rows[n, i] * _SIGMA_INV[i, j] * rows[n, j] to zero in the order (0, 0),
-    (0, 1), (1, 0), (1, 1); written out, they take less than half its time.
-    Below that it orders them otherwise, so einsum itself is kept there.
+    The terms rows[n, i] * _SIGMA_INV[i, j] * rows[n, j] are added to zero
+    in the order (0, 0), (0, 1), (1, 0), (1, 1), elementwise, so a row's
+    value does not depend on the rows it is computed with, and a group
+    kernel meets the ``batch`` contract of :func:`~sbc_lab.core.group_quantity`.
+    From three rows on this is ``einsum("ni,ij,nj->n")``'s order and bits,
+    in less than half its time.
     """
-    if len(rows) < _EINSUM_MIN_ROWS:
-        return np.einsum("ni,ij,nj->n", rows, _SIGMA_INV, rows)
     quad = np.zeros(len(rows))
     for i in range(2):
         for j in range(2):
             quad += rows[:, i] * _SIGMA_INV[i, j] * rows[:, j]
     return quad
-
-
-def _einsum_quantity(name: str, kernel) -> TestQuantity:
-    """Quantity of a group kernel that takes quadratic forms (:func:`_quadratic_form`)
-    over the group's draws laid end to end."""
-
-    def batch(draws: np.ndarray, ys) -> np.ndarray:
-        if draws.shape[1] < _EINSUM_MIN_ROWS:
-            return np.concatenate([kernel(d[None], [y]) for d, y in zip(draws, ys)])
-        return kernel(draws, ys)
-
-    return group_quantity(name, batch)
 
 
 def quantity_library(n: int, variant=None) -> list[TestQuantity]:
@@ -226,9 +208,9 @@ def quantity_library(n: int, variant=None) -> list[TestQuantity]:
         group_quantity("sum", lambda d, ys: d[..., 0] + d[..., 1]),
         group_quantity("diff", lambda d, ys: d[..., 0] - d[..., 1]),
         group_quantity("product", lambda d, ys: d[..., 0] * d[..., 1]),
-        _einsum_quantity("mvn_log_lik", _log_lik),
+        group_quantity("mvn_log_lik", _log_lik),
         *(  # pointwise log-likelihoods of the first two data points that exist
-            _einsum_quantity(
+            group_quantity(
                 f"mvn_log_lik[{k + 1}]",
                 lambda d, ys, k=k: _log_lik(d, [y[k : k + 1] for y in ys]),
             )
@@ -246,5 +228,5 @@ def quantity_library(n: int, variant=None) -> list[TestQuantity]:
             y = np.stack(ys)
             return np.exp(correct.log_density(d, y) - variant.log_density(d, y))
 
-        quantities.append(_einsum_quantity("density_ratio", ratio))
+        quantities.append(group_quantity("density_ratio", ratio))
     return quantities

@@ -518,6 +518,29 @@ class TestTailStore:
         assert built == [n for n in range(10, 1001, 10) if 11 * every > n + 1]
         assert built == list(range(10, 81, 10))  # spacing 8: B * 8 <= n + 1 from n = 87 on
 
+    def test_a_warm_trace_over_the_budget_resumes_from_what_was_kept(self, monkeypatch):
+        # the 100 prefix tables' checkpoints, about 3.3 MB, exceed a 1 MiB store:
+        # a second trace resumes from the prefixes the first one kept, where
+        # dropping the oldest rebuilt every table
+        ranks = dict(enumerate(stream(22, 0).integers(0, 101, size=(11, 1000))))
+        monkeypatch.setattr(diagnostics, "_tails", _TailStore(1 << 20))
+        cold = evolution_table(ranks, 100, step=10)
+        kept = set(diagnostics._tails.checkpoints)
+        assert 0 < len(kept) < 100
+        built = []
+        build = diagnostics.log_binom_tail_checkpoints
+        monkeypatch.setattr(
+            diagnostics,
+            "log_binom_tail_checkpoints",
+            lambda n, p, every: built.append(n) or build(n, p, every),
+        )
+        warm = evolution_table(ranks, 100, step=10)
+        for a, b in zip(cold, warm):
+            assert a.log_ratio.tobytes() == b.log_ratio.tobytes()
+        every = diagnostics._CHECKPOINT_EVERY
+        lengths = range(10, 1001, 10)
+        assert built == [n for n in lengths if (n, 100) not in kept or 11 * every > n + 1]
+
     @pytest.mark.parametrize("M", [1, 2, 99, 100])
     def test_a_cold_build_takes_the_points_up_to_one_half(self, M, monkeypatch):
         given = []
@@ -543,7 +566,7 @@ class TestTailStore:
         expected = table[np.arange(21)[:, None], counts].min(axis=0)
         assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()
         assert store.key == (100, 20)
-        assert list(store.checkpoints) == [(200, 20), (100, 20)]
+        assert list(store.checkpoints) == [(100, 20), (200, 20)]
         assert store.checkpoints[(100, 20)] is kept
         assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values())
 
@@ -596,20 +619,24 @@ class TestTailStore:
             assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values())
             assert store.nbytes <= store.budget
         assert 0 < len(store.checkpoints) < 10
-        assert list(store.checkpoints)[-1] == (1000, 100)
+        # the first that fit, in build order; the next did not fit
+        kept = len(store.checkpoints)
+        assert list(store.checkpoints) == [(S, 100) for S in range(100, 100 * kept + 1, 100)]
+        assert store.nbytes + _tail_table(100 * (kept + 1), 100)[1].nbytes > store.budget
 
-    def test_least_recently_used_is_dropped_first(self):
+    def test_the_first_checkpoints_that_fit_are_kept(self):
         store = _TailStore(1 << 30)
         for S in (300, 400, 500):
             store.current(S, 20)
         size = {S: store.checkpoints[(S, 20)].nbytes for S in (300, 400, 500)}
         store.budget = sum(size.values())
-        # a resumed lookup makes (300, 20) the most recently used
+        # a resumed lookup reorders nothing
         counts = np.full((21, 1), 150)
         store.least(counts, 300, 20)
-        assert list(store.checkpoints) == [(400, 20), (500, 20), (300, 20)]
+        assert list(store.checkpoints) == [(300, 20), (400, 20), (500, 20)]
+        # a full store keeps no new checkpoints, and drops none it has
         store.current(600, 20)
-        assert (400, 20) not in store.checkpoints and (300, 20) in store.checkpoints
+        assert list(store.checkpoints) == [(300, 20), (400, 20), (500, 20)]
         assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values()) <= store.budget
         # checkpoints larger than the whole budget are not kept, and evict nothing
         kept = list(store.checkpoints)

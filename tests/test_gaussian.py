@@ -73,8 +73,9 @@ class TestBatchForms:
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("n", [1, 3])
     def test_few_draws_give_the_ranks_of_groups_of_one(self, M, n, monkeypatch):
-        # below three draws per simulation the quadratic forms are taken one
-        # simulation at a time, so the values and ranks are those of groups of one
+        # at one or two draws per simulation a group's quadratic forms have few
+        # rows per simulation; each row's value is the same however many rows it
+        # is taken with, so the values and ranks are those of groups of one
         family = gaussian.make_variant("correct", n)
         args = (gaussian.GaussianGenerator(n), family, gaussian.quantity_library(n, family))
         grouped = run_sbc(*args, S=300, M=M, seed=5)
@@ -234,7 +235,8 @@ class TestQuadraticForm:
     def test_equals_einsum_bit_for_bit(self, N, log_scale, zero, layout, key):
         # rows of N differences, a tenth of their entries exact zeros of one sign,
         # laid out as _log_lik (N draws of one point, or one draw of N points)
-        # or log_density (N draws of one dataset) lays them out
+        # or log_density (N draws of one dataset) lays them out; einsum orders
+        # the terms otherwise below three rows, so it is the oracle from three on
         rng = stream(key, N)
         values = rng.standard_normal((N, 2)) * 10.0**log_scale
         values[rng.random((N, 2)) < 0.1] = zero
@@ -245,8 +247,14 @@ class TestQuadraticForm:
         else:
             diff = values - np.zeros(2)[None, :]
         rows = diff.reshape(-1, 2)
-        expected = np.einsum("ni,ij,nj->n", rows, gaussian._SIGMA_INV, rows)
-        assert gaussian._quadratic_form(rows).tobytes() == expected.tobytes()
+        quad = gaussian._quadratic_form(rows)
+        if N >= 3:
+            expected = np.einsum("ni,ij,nj->n", rows, gaussian._SIGMA_INV, rows)
+            assert quad.tobytes() == expected.tobytes()
+        # a row taken alone has the bits it has among all N: every row up to
+        # N = 3, and the first three, the middle and the last beyond
+        for n in {min(n, N - 1) for n in (0, 1, 2, N // 2, N - 1)}:
+            assert gaussian._quadratic_form(rows[n : n + 1]).tobytes() == quad[n : n + 1].tobytes()
 
 
 class TestQuantities:
