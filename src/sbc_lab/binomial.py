@@ -13,18 +13,18 @@ copies of the pmf, in blocks of columns across all rows, so the build holds
 two full J x (S+1) arrays plus boolean masks of an eighth of that size:
 measured with tracemalloc, about 2.3 such arrays at its peak, of which the
 one returned is kept. The full-table reference :func:`log_binom_tables`
-holds about four at once. The gamma diagnostic builds only the ceil(M/2)
-rows of its grid z_i = i/(M+1) with z_i <= 1/2 and mirrors the rest (see
-``sbc_lab.diagnostics._tail_table``): at S=10^5 and M=100 that build and its
-mirrored (M+1) x (S+1) table peak at 124 MB under tracemalloc, against
-183 MB for building all 101 rows.
+holds about four at once. The gamma diagnostic builds and keeps only the
+ceil(M/2) rows of its grid z_i = i/(M+1) with z_i <= 1/2, and reads a point
+z > 1/2 from its mirror's row (see ``sbc_lab.diagnostics._TailStore``): at
+S=10^5 and M=100 that build peaks at 92 MB under tracemalloc and keeps a
+40 MB table, against 183 MB and 81 MB for building all 101 rows.
 
 The build also returns :class:`TailCheckpoints`: every ``every``-th column
 of the finished table and five entries of each row around its middle, with
 the pmf terms. That is about an ``every``-th of the table: 62 kB for the 50
-built rows at S=1000, M=100 and every=8, against 0.81 MB for the whole
-(M+1) x (S+1) table. The gamma diagnostic keeps one table, the current one,
-and reads it with ``take``. It keeps the checkpoints of many, and answers a
+built rows at S=1000, M=100 and every=8, against 0.40 MB for the table of
+those rows. The gamma diagnostic keeps one table, the current one, and
+reads it with ``take``. It keeps the checkpoints of many, and answers a
 lookup into any of those by resuming one tail for at most every - 1 terms,
 bit for bit (:meth:`TailCheckpoints.entries`).
 """

@@ -11,15 +11,17 @@ null for S simulations is its first S rows, so one pass down the draw, a
 block of rows at a time, fills the null of every prefix of an evolution
 trace, with its threshold. The pass holds one (M+1) x 5 000 int32 matrix of
 rank counts, and reads the table in blocks of points: a block's running
-sums are its ECDF counts, looked up and folded into each replicate's least
+sums are its counts, looked up and folded into each replicate's least
 entry before the next block is summed.
 All gamma arithmetic happens in log space through one kernel: one table of
 binomial tail minima per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank
-counts, read whole or resumed bit for bit from its stored tail checkpoints.
-The table is built only at the points z_i <= 1/2. The grid z_i = i/(M+1) is
-symmetric, and Bin(S, 1 - z) at count k is Bin(S, z) at S - k, so each row
-with z_i > 1/2 is the row of its mirror reversed, and a lookup into it reads
-the mirror at S - k; the z = 1 row is the point mass at S.
+counts, read with ``take`` or resumed bit for bit from its stored tail
+checkpoints. The table has rows only for the ceil(M/2) points z_i <= 1/2.
+The grid z_i = i/(M+1) is symmetric, and Bin(S, 1 - z) at count k is
+Bin(S, z) at S - k, so the point z_{M+1-i} reads row i - 1 at its suffix
+count #{ranks >= M+1-i}, which is S - R_{M+1-i}. The z = 1 point is never
+read: its count is always S, where its entry is 0, and every entry of the
+table is below 0, so it lowers no minimum.
 The observed gamma, the null draws and every prefix of the evolution trace go
 through it, so a statistic that ties its threshold compares equal bit for
 bit. The simultaneous ECDF band is the acceptance region of that same
@@ -184,42 +186,12 @@ _CHECKPOINT_EVERY = 8
 # and none when one table's checkpoints exceed it.
 _CHECKPOINT_BYTES = 8 << 20
 
-# Points per block of a table lookup (see _take_least): a block's ECDF
-# counts become flat indices and one ``take``. All 101 rows at once made a
-# 4 MB temporary at M=100 and B = _N_MC = 5000; eight rows make 320 kB, in
-# the same time. The null pass also forms its running sums down the points
-# one block at a time, so it holds no (M+1, _N_MC) matrix of ECDF counts.
+# Rows per block of a table lookup (see _take_least): a block's counts become
+# flat indices and one ``take``. Half the rows at once would make a 2 MB
+# temporary at M=100 and B = _N_MC = 5000; eight rows make 320 kB, in the
+# same time. The null pass also forms its running sums one block at a time,
+# so it holds no (M+1, _N_MC) matrix of ECDF counts.
 _TAKE_ROWS = 8
-
-
-def _mirror_rows(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The built row that each row r < M of the (S, M) table reads, and which read it reversed.
-
-    The grid is symmetric, z_{M+1-i} = 1 - z_i, and Bin(S, 1 - z) at count k
-    is Bin(S, z) at S - k, which swaps the two tails. So only the ceil(M/2)
-    rows with z_i <= 1/2 are built: row r reads built row min(r, M - 1 - r),
-    at count S - k when that is its mirror.
-    """
-    r = np.arange(M)
-    base = np.minimum(r, M - 1 - r)
-    return base, base < r
-
-
-def _tail_table(S: int, M: int) -> tuple[np.ndarray, TailCheckpoints | None]:
-    """The (S, M) tail-minima table, and the checkpoints of its built rows.
-
-    Only the rows with z_i <= 1/2 are built. Each row with z_i > 1/2 is the
-    row of its mirror reversed (see :func:`_mirror_rows`), and the z = 1 row
-    is the point mass at S, with the bits a build gives it.
-    """
-    half = (M + 1) // 2
-    built, checkpoints = log_binom_tail_checkpoints(S, _z_points(M)[:half], _CHECKPOINT_EVERY)
-    table = np.empty((M + 1, S + 1))
-    table[:half] = built
-    table[half:M] = built[: M - half][::-1, ::-1]  # a reversed view, so no temporary copy
-    table[M] = -np.inf
-    table[M, S] = 0.0
-    return table, checkpoints
 
 
 class _TailStore:
@@ -246,10 +218,11 @@ class _TailStore:
         self.nbytes = 0
 
     def current(self, S: int, M: int) -> np.ndarray:
-        """The (S, M) table of :func:`_tail_table`, built unless it is current."""
+        """The (ceil(M/2), S+1) table of the points z_i <= 1/2, built unless it is current."""
         key = (S, M)
         if self.key != key:
-            table, checkpoints = _tail_table(S, M)
+            z = _z_points(M)[: (M + 1) // 2]
+            table, checkpoints = log_binom_tail_checkpoints(S, z, _CHECKPOINT_EVERY)
             table.flags.writeable = False
             fits = checkpoints is not None and self.nbytes + checkpoints.nbytes <= self.budget
             if fits and key not in self.checkpoints:
@@ -259,7 +232,12 @@ class _TailStore:
         return self.table
 
     def least(self, R: np.ndarray, S: int, M: int) -> np.ndarray:
-        """min over i of table[i, R[i, b]], for an (M+1, B) count matrix R of the (S, M) table.
+        """The least table entry over the points, per column of an (M+1, B) count matrix R.
+
+        The points z_i <= 1/2 read their rows at R[:half]. The point
+        z_{M+1-i}, for i up to floor(M/2), reads row i - 1 at S - R[M - i],
+        its suffix count #{ranks >= M+1-i}. The z = 1 point is not read: its
+        count R[M] is S, where its entry is 0, and every table entry is below 0.
 
         The current table is read with ``take``, in point blocks (see
         :func:`_take_least`). Otherwise the stored checkpoints serve when the
@@ -270,30 +248,35 @@ class _TailStore:
         reads its table through :func:`_take_least` directly.
         """
         key = (S, M)
+        half = (M + 1) // 2
+        lower, upper = R[:half], S - R[M - 1 : half - 1 : -1]
         kept = self.checkpoints.get(key)
         if self.key != key and kept is not None and R.shape[1] * _CHECKPOINT_EVERY <= S + 1:
-            base, mirrored = _mirror_rows(M)
-            counts = np.where(mirrored[:, None], S - R[:M], R[:M])
-            point_mass = np.where(R[M] == S, 0.0, -np.inf)  # the z = 1 row
-            return np.minimum(kept.entries(counts, base).min(axis=0), point_mass)
-        blocks = (R[start : start + _TAKE_ROWS] for start in range(0, M + 1, _TAKE_ROWS))
-        return _take_least(self.current(S, M), blocks, R.shape[1])
+            # one call for both halves, which read rows 0, 1, ... each
+            return kept.entries(np.concatenate([lower, upper]), np.arange(M) % half).min(axis=0)
+        halves = [
+            [h[i : i + _TAKE_ROWS] for i in range(0, len(h), _TAKE_ROWS)] for h in (lower, upper)
+        ]
+        return _take_least(self.current(S, M), halves, R.shape[1])
 
 
-def _take_least(table: np.ndarray, blocks, width: int) -> np.ndarray:
-    """min over the points i of table[i, R[i, b]], for a count matrix R read in point blocks.
+def _take_least(table: np.ndarray, halves, width: int) -> np.ndarray:
+    """The least table entry that the counts of both halves read, per column.
 
-    ``blocks`` yields the rows of R in order, up to _TAKE_ROWS at a time, each
-    (rows, width). Each block is turned into intp flat indices of the table,
-    so its entries are one ``take``, whatever the dtype of the counts.
+    ``halves`` holds two iterables of (rows, width) count blocks: the counts
+    at the points z_i <= 1/2 and the suffix counts at their mirrors, each
+    in row order from table row 0, up to _TAKE_ROWS rows at a time. Each
+    block is turned into intp flat indices of the table, so its entries are
+    one ``take``, whatever the dtype of the counts.
     """
     row_start = np.arange(0, table.size, table.shape[1], dtype=np.intp)[:, None]
     least = np.full(width, np.inf)
-    start = 0
-    for block in blocks:
-        flat = block + row_start[start : start + len(block)]
-        np.minimum(least, np.take(table, flat).min(axis=0), out=least)
-        start += len(block)
+    for blocks in halves:
+        start = 0
+        for block in blocks:
+            flat = block + row_start[start : start + len(block)]
+            np.minimum(least, np.take(table, flat).min(axis=0), out=least)
+            start += len(block)
     return least
 
 
@@ -388,17 +371,18 @@ def _prefix_nulls(lengths: list[int], M: int):
 
     A missing null is filled in the same pass: the rows of the calibration
     draw are added block by block to one running point-major (M+1, _N_MC)
-    int32 matrix of rank counts. Its running sum down the points, taken
-    _TAKE_ROWS points at a time, gives the ECDF counts at each missing n,
-    and each block is read from the (n, M) table and folded into the least
-    entry of each replicate (see :func:`_take_least`), so no (M+1, _N_MC)
-    matrix of ECDF counts is held. The sorted null and its _LEVEL quantile
-    are stored together. A fill builds the (n, M) table unless it is
-    current, so when a filled n is yielded the caller's own kernel call at n
-    reads that table too. A hit builds nothing: the caller's call then
-    resumes from the checkpoints of an earlier build, and builds the table
-    only when none are stored or it has too many rank sets to resume (see
-    ``_TailStore.least``).
+    int32 matrix of rank counts. At each missing n, its running sums,
+    taken _TAKE_ROWS ranks at a time, give the ECDF counts at the points
+    z_i <= 1/2 when summed up from rank 0, and the suffix counts that their
+    mirrors read when summed down from rank M. Each block is read from the
+    (n, M) table and folded into the least entry of each replicate (see
+    :func:`_take_least`), so no (M+1, _N_MC) matrix of ECDF counts is held.
+    The sorted null and its _LEVEL quantile are stored together. A fill
+    builds the (n, M) table unless it is current, so when a filled n is
+    yielded the caller's own kernel call at n reads that table too. A hit
+    builds nothing: the caller's call then resumes from the checkpoints of
+    an earlier build, and builds the table only when none are stored or it
+    has too many rank sets to resume (see ``_TailStore.least``).
     """
     blocks = _null_rows(lengths[-1], M)  # lazy: opens the stream on the first miss
     block = np.empty((0, _N_MC), dtype=np.int32)
@@ -422,7 +406,10 @@ def _prefix_nulls(lengths: list[int], M: int):
                 np.add.at(counts.reshape(-1), flat, np.int32(1))
                 block = block[take:]
                 counted += take
-            least = _take_least(_tails.current(n, M), _running_sums(counts), _N_MC)
+            # the suffix counts of the mirrored points are running sums down from rank M
+            half = (M + 1) // 2
+            sums = (_running_sums(counts[:half]), _running_sums(counts[:half:-1]))
+            least = _take_least(_tails.current(n, M), sums, _N_MC)
             log_null = np.sort(_LOG2 + least)
             _log_bar_cache[key] = float(np.quantile(log_null, _LEVEL))
             _null_cache[key] = log_null
@@ -543,17 +530,24 @@ def ecdf_band(S: int, M: int) -> EcdfBand:
     with gamma_bar the cached 5 % null quantile. Gamma is log 2 plus the
     least table entry over the points, so a rank set lies in the band
     exactly when gamma does not reject it. Each table row rises and then
-    falls in k, so the counts inside form an interval.
+    falls in k, so the counts inside form an interval. Only the table's
+    rows, the points z_i <= 1/2, are compared: the point z_{M+1-i} reads
+    row i - 1 at S - k, so its interval is that of z_i reflected, and the
+    z = 1 point's is [S, S].
     """
     log_bar = log_gamma_null_quantile_cached(S, M)  # rejects S < 1 and M < 1
     table = _tails.current(S, M)
+    half = len(table)
     lower = np.empty(M + 1, dtype=np.intp)
     upper = np.empty(M + 1, dtype=np.intp)
     # _TAKE_ROWS rows at a time, so no temporary the size of the table
-    for start in range(0, M + 1, _TAKE_ROWS):
+    for start in range(0, half, _TAKE_ROWS):
         inside = _LOG2 + table[start : start + _TAKE_ROWS] >= log_bar
         lower[start : start + len(inside)] = inside.argmax(axis=1)
         upper[start : start + len(inside)] = S - inside[:, ::-1].argmax(axis=1)
+    lower[half:M] = S - upper[: M - half][::-1]
+    upper[half:M] = S - lower[: M - half][::-1]
+    lower[M] = upper[M] = S
     return EcdfBand(S=S, M=M, pointwise_level=float(np.exp(log_bar)), lower=lower, upper=upper)
 
 

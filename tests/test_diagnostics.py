@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sbc_lab import diagnostics
-from sbc_lab.binomial import log_binom_tables, log_binom_tail_minima
+from sbc_lab.binomial import log_binom_tables, log_binom_tail_checkpoints, log_binom_tail_minima
 from sbc_lab.cli import main
 from sbc_lab.core import run_sbc
 from sbc_lab.diagnostics import (
@@ -20,9 +20,8 @@ from sbc_lab.diagnostics import (
     RankSet,
     _null_cache,
     _null_rows,
-    _mirror_rows,
+    _rank_counts,
     _running_sums,
-    _tail_table,
     _take_least,
     _TailStore,
     _z_points,
@@ -54,6 +53,24 @@ def brute_force_gamma(ranks, M):
         upper = terms[R:].sum()  # P(X >= R) = 1 - Bin(R - 1)
         best = min(best, cdf, upper)
     return 2.0 * best
+
+
+def whole_table(S, M):
+    """The whole (M+1, S+1) table of tail minima at every point, from the built rows.
+
+    Row i - 1 is the tail minima at z_i. The rows with z_i <= 1/2 are built;
+    each row with z_i > 1/2 is the row of its mirror z_{M+1-i} = 1 - z_i
+    reversed, and the z = 1 row is the point mass at S, with the bits a
+    build gives it.
+    """
+    half = (M + 1) // 2
+    built = log_binom_tail_minima(S, _z_points(M)[:half])
+    table = np.empty((M + 1, S + 1))
+    table[:half] = built
+    table[half:M] = built[: M - half][::-1, ::-1]
+    table[M] = -np.inf
+    table[M, S] = 0.0
+    return table
 
 
 def exact_null_cdf(S, M, x, strict=False):
@@ -349,21 +366,26 @@ class TestNullPass:
         rng = stream(NULL_CALIBRATION_SEED, key)
         assert np.array_equal(rows, rng.integers(0, M + 1, size=(72, _N_MC)))
 
-    @pytest.mark.parametrize("M", [1, 7, 8, 100])  # M + 1 below, at and past _TAKE_ROWS
+    @pytest.mark.parametrize("M", [1, 7, 8, 16, 17, 100])  # halves below, at and past _TAKE_ROWS
     def test_take_loop_equals_a_whole_table_take(self, M):
         S, B = 60, 300
-        table, _ = _tail_table(S, M)
         R = np.sort(stream(S, M).integers(0, S + 1, size=(M + 1, B)), axis=0)
-        R[M] = S
         R[:, :2] = [0, S]  # the ends of every row
-        whole = np.take(table, R + np.arange(0, (M + 1) * (S + 1), S + 1)[:, None]).min(axis=0)
-        blocks = (R[start : start + _TAKE_ROWS] for start in range(0, M + 1, _TAKE_ROWS))
-        assert _take_least(table, blocks, B).tobytes() == whole.tobytes()
-        # the null pass's blocks: running sums of int32 counts per rank value
-        counts = np.diff(R, axis=0, prepend=0).astype(np.int32)
-        assert _take_least(table, _running_sums(counts), B).tobytes() == whole.tobytes()
+        R[M] = S  # every count matrix ends at S
+        whole = np.take(whole_table(S, M), R + np.arange(0, (M + 1) * (S + 1), S + 1)[:, None])
+        whole = whole.min(axis=0)
         store = _TailStore(1 << 30)
-        store.current(S, M)
+        table = store.current(S, M)
+        # the counts at the points z_i <= 1/2, and the suffix counts at their mirrors
+        half = (M + 1) // 2
+        halves = R[:half], S - R[M - 1 : half - 1 : -1]
+        blocks = [[h[i : i + _TAKE_ROWS] for i in range(0, len(h), _TAKE_ROWS)] for h in halves]
+        assert _take_least(table, blocks, B).tobytes() == whole.tobytes()
+        # the null pass's blocks: running sums of int32 counts per rank value,
+        # up from rank 0 and down from rank M
+        counts = np.diff(R, axis=0, prepend=0).astype(np.int32)
+        sums = (_running_sums(counts[:half]), _running_sums(counts[:half:-1]))
+        assert _take_least(table, sums, B).tobytes() == whole.tobytes()
         given = R.copy()
         assert store.least(given, S, M).tobytes() == whole.tobytes()
         assert np.array_equal(given, R)  # the take path leaves R as it is
@@ -381,7 +403,7 @@ class TestNullPass:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            _tail_table(S, M)
+            _TailStore(diagnostics._CHECKPOINT_BYTES).current(S, M)
             build = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -406,45 +428,80 @@ def exact_log_minima(S, i, M):
 
 
 class TestMirroredTable:
-    """Rows with z_i > 1/2 are their mirrors z_{M+1-i} = 1 - z_i reversed; z = 1 is a point mass."""
+    """Only the rows with z_i <= 1/2 are built: the point z_{M+1-i} = 1 - z_i reads row
+    i - 1 at its suffix count S - R[M - i], and the z = 1 point is never read."""
 
     @pytest.mark.parametrize("M", [1, 2, 99, 100])
     @pytest.mark.parametrize("S", [1, 7, 1000])
-    def test_mirrored_rows_are_built_rows_reversed(self, S, M):
-        table, _ = _tail_table(S, M)
+    def test_the_table_is_the_built_rows(self, S, M):
+        table = _TailStore(1 << 30).current(S, M)
         direct = log_binom_tail_minima(S, _z_points(M))
         half = (M + 1) // 2
-        assert table[:half].tobytes() == direct[:half].tobytes()
+        assert table.shape == (half, S + 1)
+        assert table.tobytes() == direct[:half].tobytes()
+        # the oracle's mirrored rows are built rows reversed, and its z = 1
+        # row is the point mass the direct build gives
+        whole = whole_table(S, M)
         for i in range(half + 1, M + 1):  # z_i > 1/2, 1-based
-            assert table[i - 1].tobytes() == table[M - i, ::-1].tobytes()
-        # the z = 1 row is the point mass the direct build gives
-        assert table[M].tobytes() == direct[M].tobytes()
-        assert table[M, S] == 0.0 and np.all(np.isneginf(table[M, :S]))
+            assert whole[i - 1].tobytes() == table[M - i, ::-1].tobytes()
+        assert whole[M].tobytes() == direct[M].tobytes()
+        assert whole[M, S] == 0.0 and np.all(np.isneginf(whole[M, :S]))
+        # every entry of the table is below the z = 1 point's entry at S
+        assert table.max() < 0.0
 
     @pytest.mark.parametrize("M", [1, 2, 5, 100])
     @pytest.mark.parametrize("S", [1, 7, 100, 1000])
     def test_checkpoint_lookups_into_mirrored_rows_equal_the_table(self, S, M):
-        table, checkpoints = _tail_table(S, M)
+        _, checkpoints = log_binom_tail_checkpoints(
+            S, _z_points(M)[: (M + 1) // 2], diagnostics._CHECKPOINT_EVERY
+        )
         rng = stream(S, M)
         counts = np.concatenate(
             [np.tile([0, S], (M + 1, 1)), rng.integers(0, S + 1, size=(M + 1, 6))], axis=1
         )
         counts[:, 2:4] = rng.binomial(S, _z_points(M)[:, None], size=(M + 1, 2))
-        base, mirrored = _mirror_rows(M)
-        got = checkpoints.entries(np.where(mirrored[:, None], S - counts[:M], counts[:M]), base)
-        assert got.tobytes() == np.take_along_axis(table[:M], counts[:M], axis=1).tobytes()
+        # the points z_i <= 1/2, then their mirrors from z_M down: each half
+        # reads rows 0, 1, ..., the mirrors at S - k
+        half = (M + 1) // 2
+        points = np.concatenate([np.arange(half), np.arange(M - 1, half - 1, -1)])
+        lookups = counts[points]
+        lookups[half:] = S - lookups[half:]
+        got = checkpoints.entries(lookups, np.arange(M) % half)
+        expected = np.take_along_axis(whole_table(S, M)[points], counts[points], axis=1)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("M", [1, 2, 5, 100])
     @pytest.mark.parametrize("S", [100, 1000])
-    def test_resumed_least_reads_mirrored_rows_and_the_point_mass(self, S, M):
+    def test_resumed_least_reads_mirrored_rows_at_suffix_counts(self, S, M):
         store = _TailStore(1 << 30)
-        table = store.current(S, M)
+        store.current(S, M)
         store.current(S + 1, M)
         R = np.sort(stream(S, M).integers(0, S + 1, size=(M + 1, 4)), axis=0)
-        R[M, :2] = S  # the z = 1 row reads 0 at S; a count matrix need not end there
-        expected = table[np.arange(M + 1)[:, None], R].min(axis=0)
+        R[M] = S  # R[M] = #{ranks < M + 1}: every count matrix ends at S
+        expected = whole_table(S, M)[np.arange(M + 1)[:, None], R].min(axis=0)
         assert store.least(R.copy(), S, M).tobytes() == expected.tobytes()
         assert store.key == (S + 1, M)  # resumed, not built
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 8, 100])
+    def test_least_equals_the_least_of_all_rows(self, M):
+        # the kernel never reads the z = 1 row, and no bit moves for it: on
+        # rank sets of every shape, both the take path and the resumed path
+        # equal the least entry over all M + 1 rows of the whole table
+        S, B = 200, 20
+        rng = stream(S, M + 1)
+        ranks = rng.integers(0, M + 1, size=(B, S))
+        ranks[0], ranks[1] = 0, M  # every count at one end
+        ranks[2] = np.minimum(((M + 1) * rng.beta(0.5, 1.0, size=S)).astype(int), M)
+        R = _rank_counts(ranks, M)
+        assert np.all(R[M] == S)
+        expected = whole_table(S, M)[np.arange(M + 1)[:, None], R].min(axis=0)
+        store = _TailStore(1 << 30)
+        store.current(S, M)
+        assert store.least(R, S, M).tobytes() == expected.tobytes()  # take
+        store.current(S + 1, M)
+        assert B * diagnostics._CHECKPOINT_EVERY <= S + 1
+        assert store.least(R, S, M).tobytes() == expected.tobytes()  # resumed
+        assert store.key == (S + 1, M)
 
     @pytest.mark.parametrize("S", [10, 1000, 5000])
     def test_deep_tails_of_mirrored_rows_match_mpmath(self, S):
@@ -452,14 +509,14 @@ class TestMirroredTable:
         # gammaln cancellation in log C(S, k); the mirror's largest error must
         # stay within twice the direct build's
         M = 100
-        table, _ = _tail_table(S, M)
+        table = _TailStore(1 << 30).current(S, M)
         direct = log_binom_tail_minima(S, _z_points(M))
         rng = stream(S, 0)
         mirror_err, direct_err = [], []
-        for i in (52, 75, 100):  # z_i > 1/2, 1-based
+        for i in (52, 75, 100):  # z_i > 1/2, 1-based: read at row M - i, count S - k
             exact = exact_log_minima(S, i, M)
             ks = np.r_[0, S, rng.integers(0, S + 1, size=20)]
-            mirror_err.append(np.abs(table[i - 1, ks] - exact[ks]) / np.abs(exact[ks]))
+            mirror_err.append(np.abs(table[M - i, S - ks] - exact[ks]) / np.abs(exact[ks]))
             direct_err.append(np.abs(direct[i - 1, ks] - exact[ks]) / np.abs(exact[ks]))
         mirror_err, direct_err = np.concatenate(mirror_err), np.concatenate(direct_err)
         assert mirror_err.max() <= 2 * direct_err.max()
@@ -552,18 +609,39 @@ class TestTailStore:
         )
         store = _TailStore(1 << 30)
         table = store.current(300, M)
-        assert table.shape == (M + 1, 301)
+        assert table.shape == (math.ceil(M / 2), 301)
         assert len(given) == 1 and given[0].tolist() == _z_points(M)[: math.ceil(M / 2)].tolist()
         assert np.all(given[0] <= 0.5)
         assert store.checkpoints[(300, M)].lo.shape == (math.ceil(M / 2),)
 
+    def test_a_cold_build_holds_only_the_built_rows(self):
+        # the build returns the (50, 20001) rows with z_i <= 1/2 and holds no
+        # whole (101, 20001) table: its peak was 3.16 times the rows' bytes
+        # with one, and is 2.29 times without
+        S, M = 20000, 100
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            table = _TailStore(diagnostics._CHECKPOINT_BYTES).current(S, M)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        rows = 50 * 20001 * 8
+        assert peak < 2.6 * rows
+        assert table.shape == (50, 20001) and table.nbytes == rows
+
     def test_a_table_built_again_keeps_its_checkpoints(self):
         store = _TailStore(1 << 30)
-        table = store.current(100, 20)
+        store.current(100, 20)
         kept = store.checkpoints[(100, 20)]
         store.current(200, 20)
         counts = stream(3, 0).integers(0, 101, size=(21, 20))  # 20 * 8 > 101: too many to resume
-        expected = table[np.arange(21)[:, None], counts].min(axis=0)
+        counts[20] = 100  # every count matrix ends at S
+        expected = whole_table(100, 20)[np.arange(21)[:, None], counts].min(axis=0)
         assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()
         assert store.key == (100, 20)
         assert list(store.checkpoints) == [(100, 20), (200, 20)]
@@ -579,16 +657,17 @@ class TestTailStore:
             lambda n, p, every: (build(n, p, every)[0], None),
         )
         store = _TailStore(1 << 30)
-        table = store.current(100, 20)
+        store.current(100, 20)
         store.current(200, 20)
         counts = stream(3, 0).integers(0, 101, size=(21, 3))  # few enough to resume, if kept
-        expected = table[np.arange(21)[:, None], counts].min(axis=0)
+        counts[20] = 100  # every count matrix ends at S
+        expected = whole_table(100, 20)[np.arange(21)[:, None], counts].min(axis=0)
         assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()
         assert store.key == (100, 20)
         assert not store.checkpoints and store.nbytes == 0
 
     def test_checkpoints_outlive_a_table_too_large_to_keep(self, monkeypatch):
-        # the whole (3000, 100) table, about 2.4 MB, exceeds the budget that its
+        # the (3000, 100) table, about 1.2 MB, exceeds the budget that its
         # checkpoints fit in; building it again must not drop them
         store = _TailStore(1 << 20)
         store.current(3000, 100)
@@ -596,11 +675,13 @@ class TestTailStore:
         store.current(200, 100)
         width = 3001 // diagnostics._CHECKPOINT_EVERY + 1  # too many to resume
         counts = stream(4, 0).integers(0, 3001, size=(101, width))
-        store.least(counts.copy(), 3000, 100)
+        counts[100] = 3000  # every count matrix ends at S
+        least = store.least(counts.copy(), 3000, 100)
         assert store.key == (3000, 100)
         assert store.checkpoints[(3000, 100)] is kept
         assert store.nbytes == sum(c.nbytes for c in store.checkpoints.values()) <= store.budget
-        expected = store.table[np.arange(101), counts[:, 0]].min()
+        expected = whole_table(3000, 100)[np.arange(101), counts[:, 0]].min()
+        assert least[0] == expected
         store.current(200, 100)
         built = []
         build = diagnostics.log_binom_tail_checkpoints
@@ -622,7 +703,9 @@ class TestTailStore:
         # the first that fit, in build order; the next did not fit
         kept = len(store.checkpoints)
         assert list(store.checkpoints) == [(S, 100) for S in range(100, 100 * kept + 1, 100)]
-        assert store.nbytes + _tail_table(100 * (kept + 1), 100)[1].nbytes > store.budget
+        spare = _TailStore(1 << 30)
+        spare.current(100 * (kept + 1), 100)
+        assert store.nbytes + spare.nbytes > store.budget
 
     def test_the_first_checkpoints_that_fit_are_kept(self):
         store = _TailStore(1 << 30)
@@ -632,6 +715,7 @@ class TestTailStore:
         store.budget = sum(size.values())
         # a resumed lookup reorders nothing
         counts = np.full((21, 1), 150)
+        counts[20] = 300  # every count matrix ends at S
         store.least(counts, 300, 20)
         assert list(store.checkpoints) == [(300, 20), (400, 20), (500, 20)]
         # a full store keeps no new checkpoints, and drops none it has
@@ -690,20 +774,32 @@ class TestEcdfBand:
             992, 998, 1000,
         ]  # fmt: skip
 
-    @pytest.mark.parametrize("S, M", [(1, 1), (10, 7), (57, 9), (300, 20), (1000, 100)])
+    @pytest.mark.parametrize(
+        "S, M", [(1, 1), (10, 7), (57, 9), (100, 16), (300, 20), (1000, 100)]
+    )
     def test_band_equals_the_whole_table_comparison(self, S, M):
-        # M + 1 below, at and past _TAKE_ROWS, and not a multiple of it
+        # ceil(M/2) built rows below, at and past _TAKE_ROWS, and not a multiple of it
         band = ecdf_band(S, M)
-        inside = diagnostics._LOG2 + _tail_table(S, M)[0] >= log_gamma_null_quantile_cached(S, M)
+        inside = diagnostics._LOG2 + whole_table(S, M) >= log_gamma_null_quantile_cached(S, M)
         assert band.lower.tobytes() == inside.argmax(axis=1).tobytes()
         assert band.upper.tobytes() == (S - inside[:, ::-1].argmax(axis=1)).tobytes()
+
+    @pytest.mark.parametrize("S", [1, 57, 300])
+    @pytest.mark.parametrize("M", [1, 2, 7, 100])
+    def test_band_is_reflection_symmetric(self, S, M):
+        # the point z_{M+1-i} = 1 - z_i takes the interval of z_i reflected,
+        # k -> S - k, and the z = 1 point takes S alone
+        band = ecdf_band(S, M)
+        assert band.lower[:M].tobytes() == (S - band.upper[M - 1 :: -1]).tobytes()
+        assert band.upper[:M].tobytes() == (S - band.lower[M - 1 :: -1]).tobytes()
+        assert band.lower[M] == band.upper[M] == S
 
     def test_band_keeps_the_rounding_of_gamma(self, monkeypatch):
         # a threshold one ulp above log 2 + entry: the test rejects a rank set
         # whose least entry that is, though entry >= log_bar - log 2 holds,
         # so the entry's count lies outside the band
         S, M, i = 300, 20, 5
-        table, _ = _tail_table(S, M)
+        table = whole_table(S, M)
         log2 = diagnostics._LOG2
         rising = table[i, : table[i].argmax()]
         log_bars = np.nextafter(log2 + rising, np.inf)
