@@ -25,8 +25,10 @@ the pmf terms. That is about an ``every``-th of the table: 62 kB for the 50
 built rows at S=1000, M=100 and every=8, against 0.40 MB for the table of
 those rows. The gamma diagnostic keeps one table, the current one, and
 reads it with ``take``. It keeps the checkpoints of many, and answers a
-lookup into any of those by resuming one tail for at most every - 1 terms,
-bit for bit (:meth:`TailCheckpoints.entries`).
+lookup into any of those by resuming its tail for at most every - 1 terms,
+bit for bit: the lookups of both tails go through one pass, whose step j
+adds the j-th term to each lookup that has that many to add
+(:meth:`TailCheckpoints.entries`).
 """
 
 from __future__ import annotations
@@ -208,7 +210,9 @@ class TailCheckpoints:
     above k. A resume adds at most every - 1 pmf terms, the same float
     operations in the same order as the build, so :meth:`entries` returns
     the table's bits; it never adds the k = 0 or k = n term, where a point
-    mass has 0 * log 0.
+    mass has 0 * log 0. The lookups of both tails are resumed in one pass,
+    whose step j adds the pmf term j counts on from its grid column to each
+    lookup that lies at least j counts from that column.
     """
 
     n: int
@@ -236,34 +240,19 @@ class TailCheckpoints:
         lo, hi = self.lo[rows], self.hi[rows]
         # the window's entry inside [lo_j, hi_j]; one below or above is replaced
         out = self.window[rows, np.clip(k - lo, 0, self.window.shape[1] - 1)]
-        below, above = k < lo, k > hi
-        if below.any():
-            col = k[below] // self.every
-            base = col * self.every
-            start = self.grid[rows[below], col]
-            out[below] = self._resume(rows[below], base, k[below] - base, 1, start)
-        if above.any():
-            col = -(-k[above] // self.every)
+        below = k < lo
+        tail = below | (k > hi)
+        if tail.any():
+            rows, k, below = rows[tail], k[tail], below[tail]
+            col = np.where(below, k // self.every, -(-k // self.every))
             base = np.minimum(col * self.every, self.n)
-            start = self.grid[rows[above], col]
-            out[above] = self._resume(rows[above], base, base - k[above], -1, start)
+            offset = np.abs(k - base)
+            steps = np.arange(1, offset.max() + 1)[:, None]
+            cols = np.clip(base + np.where(below, 1, -1) * steps, 0, self.n)  # (step, lookup)
+            log_comb, log_p, log_q = self.terms
+            terms = _log_pmf(self.n, cols, log_comb[cols], log_p[rows], log_q[rows])
+            total = self.grid[rows, col]
+            for j, term in enumerate(terms, 1):
+                np.logaddexp(total, term, out=total, where=offset >= j)
+            out[tail] = total
         return out.reshape(counts.shape)
-
-    def _resume(self, rows, base, offset, direction, start) -> np.ndarray:
-        """The tail at base + direction * offset, summed on from its value ``start`` at base.
-
-        Lookups are ordered by the number of terms they add, most first, so
-        step j updates a leading run of them, each by the build's own
-        ``logaddexp(running sum, pmf term)``.
-        """
-        order = np.argsort(-offset, kind="stable")
-        rows, base, offset, total = rows[order], base[order], offset[order], start[order]
-        steps = np.arange(1, offset[0] + 1)
-        cols = np.clip(base + direction * steps[:, None], 0, self.n)  # (step, lookup)
-        log_comb, log_p, log_q = self.terms
-        terms = _log_pmf(self.n, cols, log_comb[cols], log_p[rows], log_q[rows])
-        for term, m in zip(terms, np.searchsorted(-offset, -steps, side="right")):
-            np.logaddexp(total[:m], term[:m], out=total[:m])
-        out = np.empty_like(total)
-        out[order] = total
-        return out

@@ -19,6 +19,7 @@ the same two steps as a group of one.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -313,7 +314,7 @@ def run_sbc(
     when some quantity ties), so the output is bitwise identical for a fixed
     seed whatever the grouping. A family with ``sample_batch`` samples
     simulations in lockstep groups sized by ``_LOCKSTEP_BYTES``; a group
-    whose call raises is rerun one simulation at a time through ``sample``.
+    whose call raises or miscounts is sampled one at a time through ``sample``.
     Simulations whose sampling raises (:class:`SamplerError` or anything
     else) or returns draws of the wrong shape are left out of the rank table
     and listed in ``failures`` with the exception type and message; so are
@@ -337,29 +338,27 @@ def run_sbc(
         priors.append(np.asarray(theta, dtype=float))
         datasets.append(data)
 
-    def _sample_one(i: int) -> Any:
-        try:
-            return posterior_family.sample(datasets[i], M, posterior_stream(seed, i), thin_stride)
-        except Exception as exc:  # noqa: BLE001 - one failing simulation must not end the run
-            return exc
-
-    if hasattr(posterior_family, "sample_batch"):
-        chunk = max(1, _LOCKSTEP_BYTES // (8 * M * thin_stride * priors[0].size))
-        draws: list[Any] = []
-        for lo in range(0, S, chunk):
-            hi = min(lo + chunk, S)
-            streams = [posterior_stream(seed, i) for i in range(lo, hi)]
-            try:
-                out = list(posterior_family.sample_batch(datasets[lo:hi], M, streams, thin_stride))
-                if len(out) != hi - lo:
-                    raise ValueError(f"sample_batch gave {len(out)} results for {hi - lo} datasets")
-            except Exception:  # noqa: BLE001 - rerun the group one simulation at a time
-                # each simulation owns its stream, so the rerun isolates the failure
-                # and gives the other simulations their results from the group
-                out = [_sample_one(i) for i in range(lo, hi)]
-            draws.extend(out)
-    else:
-        draws = [_sample_one(i) for i in range(S)]
+    batch = getattr(posterior_family, "sample_batch", None)
+    chunk = S if batch is None else max(1, _LOCKSTEP_BYTES // (8 * M * thin_stride * priors[0].size))
+    draws: list[Any] = []
+    for lo in range(0, S, chunk):
+        group = range(lo, min(lo + chunk, S))
+        out = None
+        if batch is not None:
+            streams = [posterior_stream(seed, i) for i in group]
+            with suppress(Exception):  # a group whose call raises is sampled below
+                out = list(batch(datasets[lo : group.stop], M, streams, thin_stride))
+        if out is None or len(out) != len(group):
+            # each simulation owns its stream, so sampling one at a time isolates
+            # a failure and gives the other simulations their results from the group
+            out = []
+            for i in group:
+                try:
+                    got = posterior_family.sample(datasets[i], M, posterior_stream(seed, i), thin_stride)
+                except Exception as exc:  # noqa: BLE001 - one failing simulation must not end the run
+                    got = exc
+                out.append(got)
+        draws.extend(out)
 
     checked = [_checked_draws(got, (M, theta.size)) for got, theta in zip(draws, priors)]
     failed = [(i, got) for i, got in enumerate(checked) if isinstance(got, Exception)]

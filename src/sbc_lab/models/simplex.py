@@ -196,24 +196,22 @@ def _log_posterior_batch(
         x, log_jac = _min_columns(u, one_minus_u)
         log_x = np.log(x)
         lp = base + log_jac + (_log_prior(log_x) + _log_lik(log_x, yt, norm))
-    elif variant in ("softmax-bad", "softmax-fixed"):
+    else:  # a positive ordered vector: the cumsum of exp(z)
         ez = np.exp(zt)
         v = np.cumsum(ez, axis=0)
         ok = np.all(np.isfinite(v), axis=0) & np.all(ez > 0.0, axis=0)
         base = zt.sum(axis=0)
-        x, log_jac = _softmax_columns(v, variant == "softmax-fixed")
-        ok &= np.isfinite(log_jac)  # not finite where s overflowed
-        log_x = np.log(x)
-        model = _log_prior(log_x) + _log_lik(log_x, yt, norm)
+        if variant == "gamma":
+            # the prior is on v itself, summed where softmax sums its Jacobian
+            x = v / v.sum(axis=0)
+            log_jac = (_ALPHA_MINUS_1[:, None] * np.log(v) - v).sum(axis=0)
+            model = _log_lik(np.log(x), yt, norm)
+        else:
+            x, log_jac = _softmax_columns(v, variant == "softmax-fixed")
+            ok &= np.isfinite(log_jac)  # not finite where s overflowed
+            log_x = np.log(x)
+            model = _log_prior(log_x) + _log_lik(log_x, yt, norm)
         lp = np.where(ok, base + log_jac + model, -np.inf)
-    else:  # gamma
-        ez = np.exp(zt)
-        w = np.cumsum(ez, axis=0)
-        ok = np.all(np.isfinite(w), axis=0) & np.all(ez > 0.0, axis=0)
-        base = zt.sum(axis=0)
-        x = w / w.sum(axis=0)
-        prior = (_ALPHA_MINUS_1[:, None] * np.log(w) - w).sum(axis=0)
-        lp = np.where(ok, base + prior + _log_lik(np.log(x), yt, norm), -np.inf)
     lp = np.where(np.isfinite(lp), lp, -np.inf)
     return lp, x.T
 

@@ -73,6 +73,18 @@ def _ymap(value: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (_H - _MB) - (value - lo) / span * (_H - _MT - _MB)
 
 
+def _hline(y: float, color: str) -> str:
+    """A dashed reference line across the plot at height ``y``."""
+    return (
+        f'<line x1="{_ML}" y1="{y:.2f}" x2="{_W - _MR}" y2="{y:.2f}" '
+        f'stroke="{color}" stroke-dasharray="5,4"/>'
+    )
+
+
+def _points(xs, ys) -> str:
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+
+
 def _fmt(values) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
 
@@ -129,28 +141,18 @@ def svg_rank_histogram(
         "</desc>"
     )
     _axes(parts, "rank", "count", f"{quantity} (S={S}, M={M})")
-    for k in range(len(counts)):
-        x0 = float(_xmap(edges[k] / (M + 1)))
-        x1 = float(_xmap(edges[k + 1] / (M + 1)))
-        yb = float(_ymap(np.array(lo[k]), 0.0, top))
-        yt = float(_ymap(np.array(hi[k]), 0.0, top))
+    xs = _xmap(edges / (M + 1))
+    for x0, x1, yb, yt in zip(xs[:-1], xs[1:], _ymap(lo, 0.0, top), _ymap(hi, 0.0, top)):
         parts.append(
             f'<rect x="{x0:.2f}" y="{yt:.2f}" width="{x1 - x0:.2f}" '
             f'height="{yb - yt:.2f}" fill="#cfe3f0"/>'
         )
-    for k in range(len(counts)):
-        x0 = float(_xmap(edges[k] / (M + 1)))
-        x1 = float(_xmap(edges[k + 1] / (M + 1)))
-        y = float(_ymap(np.array(counts[k]), 0.0, top))
+    for x0, x1, y in zip(xs[:-1], xs[1:], _ymap(counts, 0.0, top)):
         parts.append(
             f'<rect x="{x0 + 1:.2f}" y="{y:.2f}" width="{max(x1 - x0 - 2, 1):.2f}" '
             f'height="{_H - _MB - y:.2f}" fill="{_PALETTE[0]}" fill-opacity="0.75"/>'
         )
-    expected = float(_ymap(np.array(S / len(counts)), 0.0, top))
-    parts.append(
-        f'<line x1="{_ML}" y1="{expected:.2f}" x2="{_W - _MR}" y2="{expected:.2f}" '
-        'stroke="#555555" stroke-dasharray="5,4"/>'
-    )
+    parts.append(_hline(_ymap(S / len(counts), 0.0, top), "#555555"))
     _write(parts, path)
 
 
@@ -180,18 +182,10 @@ def svg_ecdf_difference(
     )
     _axes(parts, "rank fraction", "ECDF count - expected", f"{quantity} (S={S}, M={M})")
     xs = _xmap(z)
-    poly = " ".join(
-        f"{x:.2f},{y:.2f}" for x, y in zip(xs, _ymap(bhi, lo, hi))
-    ) + " " + " ".join(
-        f"{x:.2f},{y:.2f}" for x, y in zip(xs[::-1], _ymap(blo, lo, hi)[::-1])
-    )
+    poly = _points(xs, _ymap(bhi, lo, hi)) + " " + _points(xs[::-1], _ymap(blo, lo, hi)[::-1])
     parts.append(f'<polygon points="{poly}" fill="#cfe3f0"/>')
-    zero = float(_ymap(np.array(0.0), lo, hi))
-    parts.append(
-        f'<line x1="{_ML}" y1="{zero:.2f}" x2="{_W - _MR}" y2="{zero:.2f}" '
-        'stroke="#555555" stroke-dasharray="5,4"/>'
-    )
-    line = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, _ymap(dev, lo, hi)))
+    parts.append(_hline(_ymap(0.0, lo, hi), "#555555"))
+    line = _points(xs, _ymap(dev, lo, hi))
     parts.append(f'<polyline points="{line}" fill="none" stroke="{_PALETTE[1]}" stroke-width="1.5"/>')
     _write(parts, path)
 
@@ -212,16 +206,10 @@ def svg_evolution(
     )
     parts.append(f"<desc>n_max={n_max} {desc}</desc>")
     _axes(parts, "simulations", "log(gamma/gamma_bar)", title)
-    zero = float(_ymap(np.array(0.0), lo, hi))
-    parts.append(
-        f'<line x1="{_ML}" y1="{zero:.2f}" x2="{_W - _MR}" y2="{zero:.2f}" '
-        'stroke="#777777" stroke-dasharray="5,4"/>'
-    )
+    parts.append(_hline(_ymap(0.0, lo, hi), "#777777"))
     for k, trace in enumerate(traces):
         color = _PALETTE[k % len(_PALETTE)]
-        xs = _xmap(trace.n_sims / n_max)
-        ys = _ymap(trace.log_ratio, lo, hi)
-        line = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        line = _points(_xmap(trace.n_sims / n_max), _ymap(trace.log_ratio, lo, hi))
         parts.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -16,13 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import SbcRun
-from .diagnostics import (
-    EvolutionTrace,
-    RankSet,
-    chi_square_uniformity,
-    default_chi2_bins,
-    gamma_result,
-)
+from .diagnostics import EvolutionTrace, RankSet, chi_square_uniformity, gamma_result
 
 __all__ = [
     "write_ranks_csv",
@@ -83,7 +77,7 @@ def build_report(run: SbcRun, metadata: Mapping[str, object] | None = None) -> d
     for name in run.quantity_names():
         rank_set = RankSet.from_run(run, name)
         res = gamma_result(rank_set, quantity=name)
-        chi2 = chi_square_uniformity(rank_set, default_chi2_bins(rank_set.S, rank_set.max_rank))
+        chi2 = chi_square_uniformity(rank_set)
         entries.append(
             {
                 "quantity": name,

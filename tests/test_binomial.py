@@ -3,7 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -81,6 +81,14 @@ def test_tail_minima_equal_full_tables_bit_for_bit(M):
     past_n=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# every = 1: every count is a grid column, so no lookup adds a term
+@example(n=100, M=100, every=1, past_n=False, seed=0)
+# every = 3, and each of the 14 lookups below or above a window is on a grid
+# column: every offset is 0, so the one pass adds no term
+@example(n=24, M=1, every=3, past_n=False, seed=77041)
+# one call with 27 lookups below their windows, 26 above and 17 inside,
+# at offsets 0..7 in the two tails
+@example(n=100, M=5, every=8, past_n=False, seed=0)
 def test_checkpoint_lookups_equal_the_table_bit_for_bit(n, M, every, past_n, seed):
     # the z grid ends in the point mass z = 1; p = 0 is the other point mass
     p = np.concatenate([[0.0], np.arange(1, M + 2) / (M + 1)])

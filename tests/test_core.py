@@ -187,6 +187,15 @@ class _MisshapenBatchedFamily(_ToyBatchedFamily):
         return draws[:-1] if data > 1.5 else draws
 
 
+class _ShortBatchedFamily(_ToyBatchedFamily):
+    """Gives one result too few for every group."""
+
+    name = "toy-short"
+
+    def sample_batch(self, datas, M, streams, thin):
+        return super().sample_batch(datas, M, streams, thin)[:-1]
+
+
 _QS = [Quantity("theta", lambda draws, data: draws[:, 0])]
 
 
@@ -224,6 +233,13 @@ class TestRunSbc:
         assert all(message.startswith(expected_type + ": ") for _, message in run.failures)
         ranks = dict(zip(reference.sim_index.tolist(), reference.rank[:, 0].tolist()))
         assert run.rank[:, 0].tolist() == [ranks[i] for i in run.sim_index.tolist()]
+
+    def test_a_miscounted_group_is_sampled_one_simulation_at_a_time(self):
+        reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=40, M=9, seed=12)
+        run = run_sbc(_ToyGenerator(), _ShortBatchedFamily(), _QS, S=40, M=9, seed=12)
+        assert run.failures == []
+        assert run.sim_index.tolist() == list(range(40))
+        assert run.rank.tolist() == reference.rank.tolist()
 
     def test_correct_toy_posterior_rank_moments(self):
         run = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=3000, M=9, seed=7)

@@ -3,8 +3,9 @@
 The pinned digests were taken before the grouped evaluation and ranking path
 replaced the per-simulation loop, so they hold that change (and any later
 one) to byte-identical ``ranks.csv``, ``report.json`` and ``evolution.csv``
-and to the same exit code. A change that means to alter these bytes must say
-why and re-pin them.
+and to the same exit code. The later SVG pins hold every figure of each run
+to its bytes. A change that means to alter these bytes must say why and
+re-pin them.
 
 The digests of independent-marginals and non-monotonic at n=2 (where their
 1/sqrt(n+1) and the draw's sqrt(1/(n+1)) differ in the last bit),
@@ -185,9 +186,34 @@ GOLDEN = {
     ),
 }
 
+# name: (number of SVGs, sha256 over them in name order, each as its file name then its bytes)
+# Taken before any source edit of the change that wrote each SVG drawing step
+# (reference lines, point lists, the histogram's x grid) once.
+SVGS = {
+    "bernoulli-phi-A": (9, "7598d989a47fff1669a92c32500e5e8c0c7cbb9f66282427030ca1de0bf219e8"),
+    "gaussian-correct": (23, "7341096cbdf5339ad66cf587766df8f7b8a90fc9db41e5772f32d107b99ad87d"),
+    "gaussian-ignore-first-n1": (21, "d51f877ed300da729bd681cb18b5244e31566ea1655faa73f385be645e527e88"),
+    "gaussian-independent-marginals-n2": (23, "e7ce86f1c31b4caf955d88939b196cff74e8eb5ae910f0ca96af948a85553265"),
+    "gaussian-non-monotonic-n2": (21, "d5de7cb0cf765294d9fe47b1843d8a6a2453a76e2d5f36a03137c8dd36d3e085"),
+    "gaussian-prior-only": (23, "73103098a134dbca508918616dc3b0bb51a4e1102f1d3d4d89df18cb47623a5f"),
+    "gaussian-small-bias": (21, "ccfe32154876d3644e6eba73d7a6a5ad68d3e298326bab92897785b98dba53e5"),
+    "simplex-gamma": (13, "68d080be58d344384345ea71ec3134eebbe88ab3af92142e2583b7eb4cf6c19a"),
+    "simplex-min": (13, "1fa460d87575ac89cb6fb95d71c606d2cc100581c7b2adafb450cbc83bbd9003"),
+    "simplex-softmax-bad": (13, "1ff67ea2c9d4772fc25115e6dc5f8232472518774e710e37450ab402b31d7954"),
+    "simplex-softmax-fixed": (13, "f3036b4710dc7be2af275fa93cb97d61498cc0055317d17db9d5eb4f652a3539"),
+}
+
 
 def digests(out) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+
+
+def svg_digest(out) -> tuple[int, str]:
+    h, paths = hashlib.sha256(), sorted(out.glob("*.svg"))
+    for path in paths:
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return len(paths), h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -196,6 +222,7 @@ def test_run_artifacts_are_byte_stable(name, tmp_path):
     out = tmp_path / name
     assert main(["run", *argv, "--seed", "5", "--out", str(out), "--no-timestamp"]) == code
     assert digests(out) == expected
+    assert svg_digest(out) == SVGS[name]
 
 
 # variant: sha256 of its draws (and log densities, where it has them) at n = 1, 2, 3, 5
