@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -91,47 +92,44 @@ def _build(model: str, variant: str, n: int):
     return generator, family, spec.quantities(family, n), spec.thin
 
 
-# The run settings, with the JSON type each takes in a config file.
-_RUN_KEYS = {
-    **dict.fromkeys(("model", "variant", "quantities", "out"), str),
-    **dict.fromkeys(("n", "sims", "draws", "seed", "thin", "step"), int),
-    "no_timestamp": bool,
+# Every run setting, in flag order: the JSON type a config file gives it, its
+# default (None where the model sets it, as for variant and thin, or it is
+# required), the least value of a count and its help text. Its flag is "--" and
+# the key, with "-" for "_".
+_Setting = namedtuple("_Setting", "type default least help", defaults=(None, None, None))
+_RUN_SETTINGS = {
+    "model": _Setting(str),
+    "variant": _Setting(str),  # the model's first, its reference one
+    "n": _Setting(int, 3, help="gaussian data points per simulation"),
+    "sims": _Setting(int, 1000, 1, "number of simulations S"),
+    "draws": _Setting(int, 100, 1, "posterior draws per simulation M"),
+    "seed": _Setting(int, 1),
+    "thin": _Setting(int, None, 1, "thinning stride for correlated samplers"),
+    "quantities": _Setting(str, "default", help='comma-separated names or "default"'),
+    "step": _Setting(int, 10, 1, "evolution trace step"),
+    "out": _Setting(str, "sbc-out", help="output directory"),
+    "no_timestamp": _Setting(bool, False),
 }
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
-# The variant defaults to the model's first, its reference one.
-_RUN_DEFAULTS = {
-    "n": 3,
-    "sims": 1000,
-    "draws": 100,
-    "seed": 1,
-    "quantities": "default",
-    "step": 10,
-    "out": "sbc-out",
-    "no_timestamp": False,
-}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    settings: dict = {}
+    settings = {key: s.default for key, s in _RUN_SETTINGS.items() if s.default is not None}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise UsageError("the config file must hold one JSON object")
-        unknown = set(loaded) - set(_RUN_KEYS)
+        unknown = set(loaded) - set(_RUN_SETTINGS)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, value in loaded.items():
-            if type(value) is not _RUN_KEYS[key]:  # so a float or a bool is no count
-                want = _TYPE_NAMES[_RUN_KEYS[key]]
+            want = _TYPE_NAMES[_RUN_SETTINGS[key].type]
+            if type(value) is not _RUN_SETTINGS[key].type:  # so a float or a bool is no count
                 raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
         settings.update(loaded)
-    for key in _RUN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            settings[key] = flag
-    for key, value in _RUN_DEFAULTS.items():
-        settings.setdefault(key, value)
+    # a flag that is given wins over the config file, which wins over the defaults
+    settings.update((k, v) for k, v in vars(args).items() if k in _RUN_SETTINGS and v is not None)
     if "model" not in settings:
         raise _ModelNameError("--model is required (or provide it in --config)")
     spec = MODELS.get(settings["model"])
@@ -159,9 +157,9 @@ def _select_quantities(requested: str, library) -> list:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _merge_config(args)
-    for key in ("sims", "draws", "step", "thin"):
-        if settings.get(key) is not None and settings[key] < 1:
-            raise UsageError(f"--{key} must be at least 1, got {settings[key]}")
+    for key, setting in _RUN_SETTINGS.items():
+        if setting.least is not None and settings.get(key, setting.least) < setting.least:
+            raise UsageError(f"--{key} must be at least {setting.least}, got {settings[key]}")
     if not 0 <= settings["seed"] <= MAX_SEED:
         raise UsageError(f"--seed must be from 0 to {MAX_SEED}, got {settings['seed']}")
     model = settings["model"]
@@ -181,16 +179,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     traces = evolution_table({q: run.ranks(q) for q in complete}, M, step=settings["step"])
 
     write_ranks_csv(run, out_dir / "ranks.csv")
-    metadata = {
-        "model": model,
-        "variant": settings["variant"],
-        "n": settings["n"] if model == "gaussian" else None,
-        "S_requested": S,
-        "M": M,
-        "seed": seed,
-        "thin_stride": thin,
-    }
-    report = build_report(run, metadata=metadata)
+    n = settings["n"] if model == "gaussian" else None
+    # the rest of the provenance (S_requested, M, seed, thin_stride) is the run's own
+    report = build_report(run, metadata={"model": model, "variant": settings["variant"], "n": n})
     write_report_json(report, out_dir / "report.json")
 
     for name in dict.fromkeys(q for _, q, _ in run.quantity_errors):
@@ -208,7 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("error: no quantity was ranked in any simulation", file=sys.stderr)
         return 1
 
-    stamp = not bool(settings.get("no_timestamp"))
+    stamp = not settings["no_timestamp"]
     if traces:
         svg_evolution(traces, out_dir / "evolution.svg", title=f"{model}/{settings['variant']}", timestamp=stamp)
     else:
@@ -224,7 +215,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             rank_set, band, out_dir / f"ecdf_{name}.svg", quantity=name, timestamp=stamp
         )
 
-    all_pass = all(entry["pass_5pct"] for entry in report["quantities"])
     failed = [e["quantity"] for e in report["quantities"] if not e["pass_5pct"]]
     print(f"{model}/{settings['variant']}: S={S} M={M} seed={seed} failures={run.n_failed}")
     for entry in report["quantities"]:
@@ -232,7 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  {entry['quantity']:<18} log_ratio={entry['log_ratio']:+.3f}  {verdict}")
     if failed:
         print(f"uniformity rejected at 5% for: {', '.join(failed)}")
-    return 0 if all_pass else 2
+    return 2 if failed else 0
 
 
 def cmd_scan_discrete(args: argparse.Namespace) -> int:
@@ -255,8 +245,8 @@ def cmd_scan_discrete(args: argparse.Namespace) -> int:
 def cmd_list(args: argparse.Namespace) -> int:
     for model in sorted(MODELS):
         spec = MODELS[model]
-        reference = spec.family(spec.variants[0], _RUN_DEFAULTS["n"])
-        names = (q.name for q in spec.quantities(reference, _RUN_DEFAULTS["n"]))
+        n = _RUN_SETTINGS["n"].default
+        names = (q.name for q in spec.quantities(spec.family(spec.variants[0], n), n))
         print(model)
         print(f"  variants: {', '.join(sorted(spec.variants))}")
         print(f"  quantities: {', '.join(sorted(names))}")
@@ -268,18 +258,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one SBC experiment")
-    run_p.add_argument("--model", choices=sorted(MODELS))
-    run_p.add_argument("--variant")
-    run_p.add_argument("--n", type=int, help="gaussian data points per simulation")
-    run_p.add_argument("--sims", type=int, help="number of simulations S")
-    run_p.add_argument("--draws", type=int, help="posterior draws per simulation M")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--thin", type=int, help="thinning stride for correlated samplers")
-    run_p.add_argument("--quantities", help='comma-separated names or "default"')
-    run_p.add_argument("--step", type=int, help="evolution trace step")
-    run_p.add_argument("--out", help="output directory")
+    for key, setting in _RUN_SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if setting.type is bool:  # None when not given, so a config file's value stands
+            run_p.add_argument(flag, action="store_true", default=None, help=setting.help)
+        else:
+            choices = sorted(MODELS) if key == "model" else None
+            run_p.add_argument(flag, type=setting.type, choices=choices, help=setting.help)
     run_p.add_argument("--config", help="flat JSON config file; flags override")
-    run_p.add_argument("--no-timestamp", dest="no_timestamp", action="store_true", default=None)
     run_p.set_defaults(func=cmd_run)
 
     scan_p = sub.add_parser("scan-discrete", help="scan the two-point model for SBC solutions")

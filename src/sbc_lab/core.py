@@ -269,10 +269,10 @@ class SbcRun:
         return self.rank[self.ranked(quantity), self.quantities.index(quantity)]
 
 
-# Memory budget for the kept chains of one lockstep group of a batched
-# family: M * thin_stride float64 parameter vectors per simulation. At
-# M=100, thin=20 and four parameters it gives 524 chains per group; the
-# Gaussian family's (M, 2) draws at M=100 give 20 971 simulations per group.
+# Memory budget for the kept chains of one sampled group: M * thin_stride
+# float64 parameter vectors per simulation. At M=100, thin=20 and four
+# parameters it gives 524 chains per group; the Gaussian family's (M, 2)
+# draws at M=100 give 20 971 simulations per group.
 _LOCKSTEP_BYTES = 32 << 20
 
 # Memory budget for one group of the evaluation and ranking loop: the
@@ -312,19 +312,19 @@ def run_sbc(
     Simulation ``i`` consumes up to three dedicated streams derived from
     ``seed`` (generation, posterior sampling, and tie-breaking, opened only
     when some quantity ties), so the output is bitwise identical for a fixed
-    seed whatever the grouping. A family with ``sample_batch`` samples
-    simulations in lockstep groups sized by ``_LOCKSTEP_BYTES``; a group
-    whose call raises or miscounts is sampled one at a time through ``sample``.
+    seed whatever the grouping. Simulations are sampled in groups sized by
+    ``_LOCKSTEP_BYTES``: in lockstep by ``sample_batch``, or one at a time
+    through ``sample`` if the family has none or the call raises or miscounts.
     Simulations whose sampling raises (:class:`SamplerError` or anything
     else) or returns draws of the wrong shape are left out of the rank table
     and listed in ``failures`` with the exception type and message; so are
-    simulations whose draws hold NaN. The successful simulations are then
-    evaluated and ranked in groups sized by ``_GROUP_BYTES`` (see
-    :class:`TestQuantity` for the ``batch`` contract); a quantity that
-    raises, has the wrong shape or gives NaN is left unranked in that
-    simulation and listed in ``quantity_errors``. ``seed`` must be from 0 to
-    :data:`~sbc_lab.rng.MAX_SEED`: any other would run the streams of a seed
-    in that range.
+    simulations whose draws hold NaN. A group's successful simulations are
+    evaluated and ranked in groups sized by ``_GROUP_BYTES`` before the next
+    group is sampled, so a run holds one group's draws (see :class:`TestQuantity`
+    for the ``batch`` contract); a quantity that raises, has the wrong shape
+    or gives NaN is left unranked in that simulation and listed in
+    ``quantity_errors``. ``seed`` must be from 0 to :data:`~sbc_lab.rng.MAX_SEED`:
+    any other would run the streams of a seed in that range.
     """
     if S < 1 or M < 1 or thin_stride < 1:
         raise ValueError("S, M and thin_stride must all be >= 1")
@@ -338,33 +338,47 @@ def run_sbc(
         priors.append(np.asarray(theta, dtype=float))
         datasets.append(data)
 
+    dim = priors[0].size
     batch = getattr(posterior_family, "sample_batch", None)
-    chunk = S if batch is None else max(1, _LOCKSTEP_BYTES // (8 * M * thin_stride * priors[0].size))
-    draws: list[Any] = []
+    chunk = max(1, _LOCKSTEP_BYTES // (8 * M * thin_stride * dim))
+    group = max(1, _GROUP_BYTES // (8 * (M + 1) * (dim + len(names))))
+    ok: list[int] = []
+    failed: list[tuple[int, Exception]] = []
+    quantity_errors: list[tuple[int, str, str]] = []
+    empty = np.zeros((0, len(names)), dtype=int)
+    blocks = [(empty, empty, empty, empty.astype(bool))]  # (n_less, n_equals, rank, evaluated)
     for lo in range(0, S, chunk):
-        group = range(lo, min(lo + chunk, S))
-        out = None
+        sampled = range(lo, min(lo + chunk, S))
+        out = stacked = values = None  # frees the previous group's arrays before it samples
         if batch is not None:
-            streams = [posterior_stream(seed, i) for i in group]
+            streams = [posterior_stream(seed, i) for i in sampled]
             with suppress(Exception):  # a group whose call raises is sampled below
-                out = list(batch(datasets[lo : group.stop], M, streams, thin_stride))
-        if out is None or len(out) != len(group):
+                out = list(batch(datasets[lo : sampled.stop], M, streams, thin_stride))
+        if out is None or len(out) != len(sampled):
             # each simulation owns its stream, so sampling one at a time isolates
             # a failure and gives the other simulations their results from the group
             out = []
-            for i in group:
+            for i in sampled:
                 try:
                     got = posterior_family.sample(datasets[i], M, posterior_stream(seed, i), thin_stride)
                 except Exception as exc:  # noqa: BLE001 - one failing simulation must not end the run
                     got = exc
                 out.append(got)
-        draws.extend(out)
-
-    checked = [_checked_draws(got, (M, theta.size)) for got, theta in zip(draws, priors)]
-    failed = [(i, got) for i, got in enumerate(checked) if isinstance(got, Exception)]
-    ok = [i for i, got in enumerate(checked) if not isinstance(got, Exception)]
-    shape = (len(ok), len(names))
-    run = SbcRun(
+        out = [_checked_draws(got, (M, priors[i].size)) for i, got in zip(sampled, out)]
+        failed.extend((i, got) for i, got in zip(sampled, out) if isinstance(got, Exception))
+        good = [i for i, got in zip(sampled, out) if not isinstance(got, Exception)]
+        for start in range(0, len(good), group):
+            sims = good[start : start + group]
+            stacked = np.empty((len(sims), M + 1, dim))
+            stacked[:, 0] = [priors[i] for i in sims]
+            stacked[:, 1:] = [out[i - lo] for i in sims]
+            values, errors = _evaluate_group(stacked, [datasets[i] for i in sims], quantities)
+            n_less, n_equals, k = _rank_block(values, lambda r: tiebreak_stream(seed, sims[r]))
+            blocks.append((n_less, n_equals, n_less + k, ~np.isnan(values[:, :, 0])))
+            quantity_errors.extend((sims[r], names[j], m) for (r, j), m in sorted(errors.items()))
+        ok.extend(good)
+    n_less, n_equals, rank, evaluated = (np.concatenate(column) for column in zip(*blocks))
+    return SbcRun(
         variant_name=getattr(posterior_family, "name", type(posterior_family).__name__),
         S=S,
         M=M,
@@ -373,27 +387,13 @@ def run_sbc(
         quantities=names,
         sim_index=np.asarray(ok, dtype=int),
         data=[datasets[i] for i in ok],
-        n_less=np.zeros(shape, dtype=int),
-        n_equals=np.zeros(shape, dtype=int),
-        rank=np.zeros(shape, dtype=int),
-        evaluated=np.zeros(shape, dtype=bool),
+        n_less=n_less,
+        n_equals=n_equals,
+        rank=rank,
+        evaluated=evaluated,
         failures=[(i, f"{type(exc).__name__}: {exc}") for i, exc in failed],
-        quantity_errors=[],
+        quantity_errors=quantity_errors,
     )
-    dim = priors[0].size
-    group = max(1, _GROUP_BYTES // (8 * (M + 1) * (dim + len(names))))
-    for lo in range(0, len(ok), group):
-        sims = ok[lo : lo + group]
-        stacked = np.empty((len(sims), M + 1, dim))
-        stacked[:, 0] = [priors[i] for i in sims]
-        stacked[:, 1:] = [checked[i] for i in sims]
-        values, errors = _evaluate_group(stacked, [datasets[i] for i in sims], quantities)
-        n_less, n_equals, k = _rank_block(values, lambda r: tiebreak_stream(seed, sims[r]))
-        rows = slice(lo, lo + len(sims))
-        run.n_less[rows], run.n_equals[rows], run.rank[rows] = n_less, n_equals, n_less + k
-        run.evaluated[rows] = ~np.isnan(values[:, :, 0])
-        run.quantity_errors.extend((sims[r], names[j], m) for (r, j), m in sorted(errors.items()))
-    return run
 
 
 @dataclass(frozen=True)

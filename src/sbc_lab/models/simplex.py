@@ -406,14 +406,13 @@ def _thinned_chains(log_density_for, dim, M, thin, streams):
             break
         idx = np.asarray(pending)
         sub = state.select(idx)
-        kept, acc = _metropolis_block(
+        kept, _ = _metropolis_block(
             log_density_for(idx), sub, [streams[b] for b in pending], block, warmup=0
         )
         state.z[idx] = sub.z
         state.lp[idx] = sub.lp
         for j, b in enumerate(pending):
             segments[b].append(kept[j])
-            accepts[b] += acc[j]
         pending = [b for b in pending if _ess_min(chain(b)) < _MIN_ESS]
     for b in pending:
         failed[b] = SamplerError(

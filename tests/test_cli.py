@@ -431,6 +431,21 @@ class TestConfigFile:
         assert "error: the config file must hold one JSON object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_run_flags_are_the_config_keys(self, tmp_path, capsys):
+        # every flag of `run --help` but --help and --config is a config key,
+        # "_" for "-", and the config file takes each of those keys
+        with pytest.raises(SystemExit) as exited:
+            run_cli("run", "--help")
+        assert exited.value.code == 0
+        flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+        keys = {flag[2:].replace("-", "_") for flag in flags - {"--config"}}
+        assert "--config" in flags and keys == set(cli._RUN_SETTINGS)
+        cfg = tmp_path / "cfg.json"
+        for key in sorted(keys):
+            cfg.write_text(json.dumps({"model": "gaussian", key: []}))
+            assert run_cli("run", "--config", str(cfg)) == 1
+            assert f"error: config key {key!r} must be " in capsys.readouterr().err
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second to import, more than a default
     # Gaussian run; the package needs only scipy.special

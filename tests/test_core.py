@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from sbc_lab.core import (
     evaluate_quantities,
     run_sbc,
 )
+from sbc_lab.models import gaussian
 from sbc_lab.rng import generation_stream, posterior_stream, stream, tiebreak_stream
 
 
@@ -331,6 +334,26 @@ class TestRunSbc:
     def test_seeds_at_both_ends_run(self, seed):
         run = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=5, M=3, seed=seed)
         assert run.seed == seed and run.n_failed == 0
+
+    def test_peak_memory_holds_one_sampled_group(self, monkeypatch):
+        # each sampled group is ranked before the next one is sampled, so more
+        # simulations add what a run keeps of each (its prior draw, dataset and
+        # ranks) to the peak, not their posterior draws
+        M = 400
+        monkeypatch.setattr(core, "_LOCKSTEP_BYTES", 50 * 8 * M * 2)  # 50 simulations a group
+        family = gaussian.make_variant("correct", 3)
+        quantities = gaussian.quantity_library(3, family)[:1]
+
+        def peak(S):
+            tracemalloc.start()
+            try:
+                run_sbc(gaussian.GaussianGenerator(3), family, quantities, S=S, M=M, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra_draws = 2000 * M * 2 * 8  # bytes of the 2 000 more simulations' draws
+        assert peak(4000) - peak(2000) < extra_draws / 2
 
 
 def _rounded(draws, data):
