@@ -54,7 +54,7 @@ _TAIL_BLOCK = 64
 
 def _log_pmf_terms(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log C(n, k) for k = 0..n, and log p_j and log(1 - p_j): the terms of :func:`_log_pmf`."""
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
         raise ValueError("probabilities must lie in [0, 1]")
     k = np.arange(n + 1, dtype=float)
     log_comb = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)

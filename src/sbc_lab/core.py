@@ -282,19 +282,17 @@ _LOCKSTEP_BYTES = 32 << 20
 _GROUP_BYTES = 2 << 20
 
 
-def _checked_draws(got: Any, shape: tuple[int, int]) -> Any:
-    """Posterior draws as a float array of ``shape``, or the exception to record."""
-    if isinstance(got, Exception):
-        return got
+def _checked_draws(got: Any, shape: tuple[int, int]) -> np.ndarray | str:
+    """Posterior draws as a float array of ``shape``, or the message of the failure to record."""
     try:
         post = np.asarray(got, dtype=float)
     except (TypeError, ValueError) as exc:
-        return exc
+        return f"{type(exc).__name__}: {exc}"
     if post.shape != shape:
-        return ValueError(f"family returned draws of shape {post.shape}, expected {shape}")
+        return f"ValueError: family returned draws of shape {post.shape}, expected {shape}"
     nan = np.isnan(post)
     if nan.any():
-        return SamplerError(f"family returned NaN in {nan.any(axis=1).sum()} of {shape[0]} draws")
+        return f"SamplerError: family returned NaN in {nan.any(axis=1).sum()} of {shape[0]} draws"
     return post
 
 
@@ -312,71 +310,72 @@ def run_sbc(
     Simulation ``i`` consumes up to three dedicated streams derived from
     ``seed`` (generation, posterior sampling, and tie-breaking, opened only
     when some quantity ties), so the output is bitwise identical for a fixed
-    seed whatever the grouping. Simulations are sampled in groups sized by
+    seed whatever the grouping; ``generate(rng)`` is a function of the stream
+    alone. Simulations are generated and sampled in groups sized by
     ``_LOCKSTEP_BYTES``: in lockstep by ``sample_batch``, or one at a time
     through ``sample`` if the family has none or the call raises or miscounts.
     Simulations whose sampling raises (:class:`SamplerError` or anything
     else) or returns draws of the wrong shape are left out of the rank table
-    and listed in ``failures`` with the exception type and message; so are
-    simulations whose draws hold NaN. A group's successful simulations are
-    evaluated and ranked in groups sized by ``_GROUP_BYTES`` before the next
-    group is sampled, so a run holds one group's draws (see :class:`TestQuantity`
-    for the ``batch`` contract); a quantity that raises, has the wrong shape
-    or gives NaN is left unranked in that simulation and listed in
-    ``quantity_errors``. ``seed`` must be from 0 to :data:`~sbc_lab.rng.MAX_SEED`:
-    any other would run the streams of a seed in that range.
+    and listed in ``failures`` with the exception type and message, kept as
+    that string where the failure is caught; so are simulations whose draws
+    hold NaN. A group's successful simulations are evaluated and ranked in
+    groups sized by ``_GROUP_BYTES`` before the next group is generated, so a
+    run holds one group's draws (see :class:`TestQuantity` for the ``batch``
+    contract); a quantity that raises, has the wrong shape or gives NaN is
+    left unranked in that simulation and listed in ``quantity_errors``.
+    ``seed`` must be from 0 to :data:`~sbc_lab.rng.MAX_SEED`: any other would
+    run the streams of a seed in that range.
     """
     if S < 1 or M < 1 or thin_stride < 1:
         raise ValueError("S, M and thin_stride must all be >= 1")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be from 0 to {MAX_SEED}, got {seed}")
     names = [q.name for q in quantities]
-    priors: list[np.ndarray] = []
-    datasets: list[Any] = []
-    for i in range(S):
-        theta, data = generator.generate(generation_stream(seed, i))
-        priors.append(np.asarray(theta, dtype=float))
-        datasets.append(data)
-
-    dim = priors[0].size
+    # simulation 0's prior draw sizes the groups; it is generated again with its group
+    dim = np.size(generator.generate(generation_stream(seed, 0))[0])
     batch = getattr(posterior_family, "sample_batch", None)
     chunk = max(1, _LOCKSTEP_BYTES // (8 * M * thin_stride * dim))
     group = max(1, _GROUP_BYTES // (8 * (M + 1) * (dim + len(names))))
     ok: list[int] = []
-    failed: list[tuple[int, Exception]] = []
+    data: list[Any] = []
+    failures: list[tuple[int, str]] = []
     quantity_errors: list[tuple[int, str, str]] = []
     empty = np.zeros((0, len(names)), dtype=int)
     blocks = [(empty, empty, empty, empty.astype(bool))]  # (n_less, n_equals, rank, evaluated)
     for lo in range(0, S, chunk):
         sampled = range(lo, min(lo + chunk, S))
-        out = stacked = values = None  # frees the previous group's arrays before it samples
+        out = good = draws = stacked = values = None  # frees the previous group's arrays
+        priors, datasets = zip(*(generator.generate(generation_stream(seed, i)) for i in sampled))
         if batch is not None:
             streams = [posterior_stream(seed, i) for i in sampled]
             with suppress(Exception):  # a group whose call raises is sampled below
-                out = list(batch(datasets[lo : sampled.stop], M, streams, thin_stride))
+                out = [
+                    _checked_draws(got, (M, dim))
+                    for got in batch(list(datasets), M, streams, thin_stride)
+                ]
         if out is None or len(out) != len(sampled):
             # each simulation owns its stream, so sampling one at a time isolates
             # a failure and gives the other simulations their results from the group
             out = []
-            for i in sampled:
+            for i, dataset in zip(sampled, datasets):
                 try:
-                    got = posterior_family.sample(datasets[i], M, posterior_stream(seed, i), thin_stride)
+                    got = posterior_family.sample(dataset, M, posterior_stream(seed, i), thin_stride)
+                    out.append(_checked_draws(got, (M, dim)))
                 except Exception as exc:  # noqa: BLE001 - one failing simulation must not end the run
-                    got = exc
-                out.append(got)
-        out = [_checked_draws(got, (M, priors[i].size)) for i, got in zip(sampled, out)]
-        failed.extend((i, got) for i, got in zip(sampled, out) if isinstance(got, Exception))
-        good = [i for i, got in zip(sampled, out) if not isinstance(got, Exception)]
+                    out.append(f"{type(exc).__name__}: {exc}")
+        failures.extend((i, got) for i, got in zip(sampled, out) if isinstance(got, str))
+        good = [sim for sim in zip(sampled, priors, datasets, out) if not isinstance(sim[3], str)]
         for start in range(0, len(good), group):
-            sims = good[start : start + group]
+            sims, thetas, datas, draws = zip(*good[start : start + group])
             stacked = np.empty((len(sims), M + 1, dim))
-            stacked[:, 0] = [priors[i] for i in sims]
-            stacked[:, 1:] = [out[i - lo] for i in sims]
-            values, errors = _evaluate_group(stacked, [datasets[i] for i in sims], quantities)
+            stacked[:, 0] = thetas
+            stacked[:, 1:] = draws
+            values, errors = _evaluate_group(stacked, list(datas), quantities)
             n_less, n_equals, k = _rank_block(values, lambda r: tiebreak_stream(seed, sims[r]))
             blocks.append((n_less, n_equals, n_less + k, ~np.isnan(values[:, :, 0])))
             quantity_errors.extend((sims[r], names[j], m) for (r, j), m in sorted(errors.items()))
-        ok.extend(good)
+            ok.extend(sims)
+            data.extend(datas)
     n_less, n_equals, rank, evaluated = (np.concatenate(column) for column in zip(*blocks))
     return SbcRun(
         variant_name=getattr(posterior_family, "name", type(posterior_family).__name__),
@@ -386,12 +385,12 @@ def run_sbc(
         thin_stride=thin_stride,
         quantities=names,
         sim_index=np.asarray(ok, dtype=int),
-        data=[datasets[i] for i in ok],
+        data=data,
         n_less=n_less,
         n_equals=n_equals,
         rank=rank,
         evaluated=evaluated,
-        failures=[(i, f"{type(exc).__name__}: {exc}") for i, exc in failed],
+        failures=failures,
         quantity_errors=quantity_errors,
     )
 

@@ -61,6 +61,24 @@ def test_rejects_bad_probability():
         log_binom_pmf(4, np.array([1.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5, -np.inf, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        log_binom_pmf,
+        log_binom_tables,
+        log_binom_tail_minima,
+        lambda n, p: log_binom_tail_checkpoints(n, p, 2),
+    ],
+    ids=["pmf", "tables", "tail_minima", "tail_checkpoints"],
+)
+def test_every_build_rejects_a_probability_outside_0_1(build, bad):
+    # NaN passes both `p < 0` and `p > 1`: it used to give a NaN pmf row, and
+    # an out-of-bounds index in the tail builds
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+        build(4, np.array([0.2, bad]))
+
+
 @pytest.mark.parametrize("M", [1, 2, 5, 20, 100, 250])
 def test_tail_minima_equal_full_tables_bit_for_bit(M):
     grids = [np.arange(1, M + 2) / (M + 1), np.array([0.0, 0.3, 1.0])]

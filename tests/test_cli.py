@@ -22,7 +22,7 @@ from sbc_lab.diagnostics import (
     gamma_result,
 )
 from sbc_lab.models import gaussian
-from sbc_lab.reports import read_ranks_csv
+from sbc_lab.reports import build_report, read_ranks_csv
 
 
 def run_cli(*argv):
@@ -84,6 +84,22 @@ class TestRunOutputs:
             assert entry["log_ratio"] == res.log_ratio
             assert entry["chi2_p"] == chi2.p_value
             assert entry["pass_5pct"] == (res.log_ratio >= 0.0)
+
+    def test_report_takes_one_chi2_bin_per_rank_from_five_simulations_a_bin(self):
+        # from S = 5(M+1) on, every rank value is its own chi-square cell
+        M = 9
+        assert default_chi2_bins(5 * (M + 1), M) == M + 1
+        assert default_chi2_bins(5 * (M + 1) - 1, M) == M
+        family = gaussian.make_variant("correct", 3)
+        quantities = gaussian.quantity_library(3, family)
+        run = run_sbc(gaussian.GaussianGenerator(3), family, quantities, S=5 * (M + 1), M=M, seed=7)
+        coarser = 0
+        for entry in build_report(run)["quantities"]:
+            rank_set = RankSet.from_run(run, entry["quantity"])
+            assert rank_set.S == 5 * (M + 1)
+            assert entry["chi2_p"] == chi_square_uniformity(rank_set, n_bins=M + 1).p_value
+            coarser += entry["chi2_p"] != chi_square_uniformity(rank_set, n_bins=M).p_value
+        assert coarser > 0
 
     @pytest.mark.parametrize("variant", ["correct", "prior-only"])
     def test_report_and_trace_read_one_threshold(self, variant, tmp_path):

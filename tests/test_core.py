@@ -199,6 +199,38 @@ class _ShortBatchedFamily(_ToyBatchedFamily):
         return super().sample_batch(datas, M, streams, thin)[:-1]
 
 
+class _NonNumericFamily(_ToyFamily):
+    """Returns a ragged list for large data and a string for small data."""
+
+    name = "toy-non-numeric"
+
+    def sample(self, data, M, rng, thin):
+        draws = super().sample(data, M, rng, thin)
+        if data > 1.5:
+            return [*draws[1:].tolist(), [0.0, 0.0]]
+        return "no draws" if data < -1.5 else draws
+
+
+class _NonNumericBatchedFamily(_NonNumericFamily, _ToyBatchedFamily):
+    pass
+
+
+class _CostlyFailingFamily(_ToyFamily):
+    """Fills a working array, then raises for positive data."""
+
+    name = "toy-costly"
+
+    def sample(self, data, M, rng, thin):
+        work = np.ones((M, 1000))
+        if data > 0.0:
+            raise SamplerError(f"no fit after {work.size} steps")
+        return super().sample(data, M, rng, thin)
+
+
+class _CostlyFailingBatchedFamily(_CostlyFailingFamily, _ToyBatchedFamily):
+    pass
+
+
 _QS = [Quantity("theta", lambda draws, data: draws[:, 0])]
 
 
@@ -243,6 +275,46 @@ class TestRunSbc:
         assert run.failures == []
         assert run.sim_index.tolist() == list(range(40))
         assert run.rank.tolist() == reference.rank.tolist()
+
+    @pytest.mark.parametrize("family", [_NonNumericFamily(), _NonNumericBatchedFamily()])
+    def test_non_numeric_draws_fail_with_the_conversion_message(self, family):
+        reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=60, M=9, seed=12)
+        run = run_sbc(_ToyGenerator(), family, _QS, S=60, M=9, seed=12)
+        ragged = (
+            "ValueError: setting an array element with a sequence. The requested array has an"
+            " inhomogeneous shape after 1 dimensions. The detected shape was (9,) +"
+            " inhomogeneous part."
+        )
+        text = "ValueError: could not convert string to float: 'no draws'"
+        expected = [
+            (i, ragged if data > 1.5 else text)
+            for i, data in zip(reference.sim_index.tolist(), reference.data)
+            if abs(data) > 1.5
+        ]
+        assert {message for _, message in expected} == {ragged, text}
+        assert run.failures == expected
+        ranks = dict(zip(reference.sim_index.tolist(), reference.rank[:, 0].tolist()))
+        assert run.rank[:, 0].tolist() == [ranks[i] for i in run.sim_index.tolist()]
+        assert run.data == [data for data in reference.data if abs(data) <= 1.5]
+
+    @pytest.mark.parametrize("family", [_CostlyFailingFamily(), _CostlyFailingBatchedFamily()])
+    def test_peak_memory_does_not_grow_with_failures(self, family):
+        # a failure is kept as its message where it is caught, so its traceback
+        # and the sampler's working array it holds are freed there
+        M = 100
+
+        def failures_and_peak(S):
+            tracemalloc.start()
+            try:
+                run = run_sbc(_ToyGenerator(), family, _QS, S=S, M=M, seed=2)
+                return run.n_failed, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, small = failures_and_peak(100)
+        many, large = failures_and_peak(400)
+        assert many - few > 100
+        assert large - small < 8 * M * 1000 * 8  # the working arrays of 8 failures
 
     def test_correct_toy_posterior_rank_moments(self):
         run = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=3000, M=9, seed=7)

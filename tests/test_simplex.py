@@ -294,6 +294,18 @@ class TestBatchedFamily:
         out = fam.sample_batch(datas, 100, [stream(14, i) for i in range(24)], 20)
         assert all(isinstance(o, np.ndarray) for o in out)
 
+    def test_sample_raises_the_error_of_a_failed_chain(self, monkeypatch):
+        # sample_batch returns a failed chain's SamplerError; sample raises it
+        monkeypatch.setattr(sx, "_MIN_ESS", 1e9)
+        monkeypatch.setattr(sx, "_MAX_EXTENSIONS", 0)
+        data = sx.SimplexGenerator().generate(stream(11, 0))[1]
+        fam = sx.RwmSimplexFamily("min")
+        batched = fam.sample_batch([data], 20, [stream(12, 0)], 2)[0]
+        assert isinstance(batched, sx.SamplerError)
+        with pytest.raises(sx.SamplerError) as raised:
+            fam.sample(data, 20, stream(12, 0), 2)
+        assert str(raised.value) == str(batched) == "min ESS below 1e+09 after 0 chain extensions"
+
 
 class TestQuantities:
     def test_log_prior_and_log_lik_match_scipy(self):
