@@ -284,6 +284,8 @@ _GROUP_BYTES = 2 << 20
 
 def _checked_draws(got: Any, shape: tuple[int, int]) -> np.ndarray | str:
     """Posterior draws as a float array of ``shape``, or the message of the failure to record."""
+    if isinstance(got, Exception):
+        return f"{type(got).__name__}: {got}"
     try:
         post = np.asarray(got, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -331,8 +333,7 @@ def run_sbc(
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be from 0 to {MAX_SEED}, got {seed}")
     names = [q.name for q in quantities]
-    # simulation 0's prior draw sizes the groups; it is generated again with its group
-    dim = np.size(generator.generate(generation_stream(seed, 0))[0])
+    dim = np.size(generator.generate(generation_stream(seed, 0))[0])  # simulation 0 sizes groups
     batch = getattr(posterior_family, "sample_batch", None)
     chunk = max(1, _LOCKSTEP_BYTES // (8 * M * thin_stride * dim))
     group = max(1, _GROUP_BYTES // (8 * (M + 1) * (dim + len(names))))
@@ -344,7 +345,7 @@ def run_sbc(
     blocks = [(empty, empty, empty, empty.astype(bool))]  # (n_less, n_equals, rank, evaluated)
     for lo in range(0, S, chunk):
         sampled = range(lo, min(lo + chunk, S))
-        out = good = draws = stacked = values = None  # frees the previous group's arrays
+        out = good = priors = datasets = thetas = draws = stacked = values = None  # frees the last group
         priors, datasets = zip(*(generator.generate(generation_stream(seed, i)) for i in sampled))
         if batch is not None:
             streams = [posterior_stream(seed, i) for i in sampled]

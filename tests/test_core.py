@@ -280,12 +280,14 @@ class TestRunSbc:
     def test_non_numeric_draws_fail_with_the_conversion_message(self, family):
         reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=60, M=9, seed=12)
         run = run_sbc(_ToyGenerator(), family, _QS, S=60, M=9, seed=12)
-        ragged = (
-            "ValueError: setting an array element with a sequence. The requested array has an"
-            " inhomogeneous shape after 1 dimensions. The detected shape was (9,) +"
-            " inhomogeneous part."
-        )
-        text = "ValueError: could not convert string to float: 'no draws'"
+
+        def conversion_message(got):
+            with pytest.raises(ValueError) as raised:
+                np.asarray(got, dtype=float)
+            return f"ValueError: {raised.value}"
+
+        ragged = conversion_message([[0.0]] * 8 + [[0.0, 0.0]])
+        text = conversion_message("no draws")
         expected = [
             (i, ragged if data > 1.5 else text)
             for i, data in zip(reference.sim_index.tolist(), reference.data)

@@ -306,6 +306,16 @@ class TestBatchedFamily:
             fam.sample(data, 20, stream(12, 0), 2)
         assert str(raised.value) == str(batched) == "min ESS below 1e+09 after 0 chain extensions"
 
+    def test_run_records_a_failed_chain_as_its_message(self, monkeypatch):
+        # the failed chains sample_batch returns are listed under their own type
+        monkeypatch.setattr(sx, "_MIN_ESS", 1e9)
+        monkeypatch.setattr(sx, "_MAX_EXTENSIONS", 0)
+        fam = sx.RwmSimplexFamily("min")
+        run = run_sbc(sx.SimplexGenerator(), fam, sx.quantity_library(), S=3, M=20, seed=11, thin_stride=2)
+        message = "SamplerError: min ESS below 1e+09 after 0 chain extensions"
+        assert run.failures == [(i, message) for i in range(3)]
+        assert run.sim_index.size == 0
+
 
 class TestQuantities:
     def test_log_prior_and_log_lik_match_scipy(self):
