@@ -3,7 +3,6 @@
 from .core import (
     EssResult,
     InvalidQuantityError,
-    RankStatistic,
     SamplerError,
     SbcRun,
     TestQuantity,
@@ -33,7 +32,6 @@ from .diagnostics import (
 __all__ = [
     "TestQuantity",
     "group_quantity",
-    "RankStatistic",
     "SbcRun",
     "SamplerError",
     "InvalidQuantityError",

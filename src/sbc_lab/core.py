@@ -13,8 +13,9 @@ time: the group's prior and posterior draws are stacked into one
 (g, M+1, dim) array, each quantity is evaluated once over the group through
 its ``batch`` form (or, without one, once per simulation through its
 ``evaluator``; :func:`group_quantity` writes both as one kernel), and the
-whole (g, Q, M) block is ranked at once. A single simulation goes through
-the same two steps as a group of one.
+whole (g, Q, M+1) block is ranked at once. These two steps are the public
+:func:`evaluate_quantities` and :func:`compute_rank`; a single simulation is
+a group of one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .rng import MAX_SEED, generation_stream, posterior_stream, tiebreak_stream
 __all__ = [
     "TestQuantity",
     "group_quantity",
-    "RankStatistic",
     "SbcRun",
     "SamplerError",
     "InvalidQuantityError",
@@ -47,7 +47,7 @@ class SamplerError(RuntimeError):
 
 
 class InvalidQuantityError(ValueError):
-    """A test quantity produced NaN, which signals a broken evaluator or sampler."""
+    """A test quantity produced NaN or a wrong shape: a broken evaluator or sampler."""
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,6 @@ class TestQuantity:
     evaluator: Callable[[np.ndarray, Any], np.ndarray]
     batch: Callable[[np.ndarray, Sequence[Any]], np.ndarray] | None = None
 
-    def __call__(self, theta: np.ndarray, data: Any) -> float:
-        return float(self.evaluator(np.asarray(theta, float)[None, :], data)[0])
-
 
 def group_quantity(
     name: str, kernel: Callable[[np.ndarray, Sequence[Any]], np.ndarray]
@@ -91,77 +88,7 @@ def group_quantity(
     return TestQuantity(name, evaluator, batch=kernel)
 
 
-@dataclass(frozen=True)
-class RankStatistic:
-    quantity: str
-    n_less: int
-    n_equals: int
-    k: int
-    max_rank: int
-
-    @property
-    def rank(self) -> int:
-        return self.n_less + self.k
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.k <= self.n_equals):
-            raise ValueError("tie share k must lie in [0, n_equals]")
-        if self.n_less + self.n_equals > self.max_rank:
-            raise ValueError("n_less + n_equals cannot exceed the draw count")
-
-
-def _rank_block(
-    values: np.ndarray, tie_rng: Callable[[int], np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(n_less, n_equals, k)``, each (g, Q), of a (g, Q, M+1) block of values.
-
-    ``values[r, j, 0]`` is the prior value of quantity j in simulation r and
-    ``values[r, j, 1:]`` its M posterior values; a row of NaN (a failed
-    quantity) compares false with everything and counts 0. Simulation r's
-    tie shares come from one ``tie_rng(r).integers(0, n_equals + 1)`` call
-    over its evaluated quantities, which gives the values and the stream
-    state of one scalar call per quantity in order; ``tie_rng`` is called
-    only for a simulation with a tie, as a range of one value draws nothing.
-    """
-    prior = values[:, :, :1]
-    n_less = np.count_nonzero(values[:, :, 1:] < prior, axis=2)
-    n_equals = np.count_nonzero(values[:, :, 1:] == prior, axis=2)
-    k = np.zeros_like(n_equals)
-    for r in np.flatnonzero(n_equals.any(axis=1)):
-        evaluated = ~np.isnan(values[r, :, 0])
-        k[r, evaluated] = tie_rng(r).integers(0, n_equals[r, evaluated] + 1)
-    return n_less, n_equals, k
-
-
-def compute_rank(
-    prior_value: float,
-    posterior_values: np.ndarray,
-    rng: np.random.Generator,
-    quantity: str = "",
-) -> RankStatistic:
-    """Rank of ``prior_value`` within ``posterior_values`` with random tie-breaking.
-
-    ``n_less`` counts strictly smaller posterior values, ``n_equals`` counts
-    exact ties, and the tie share ``k`` is drawn uniformly on {0..n_equals}
-    from ``rng``. Without ties nothing is drawn, so ``rng`` is left as it was.
-    """
-    values = np.asarray(posterior_values, dtype=float)
-    if values.size == 0:
-        raise ValueError("posterior_values must be non-empty")
-    if np.isnan(prior_value) or np.isnan(values).any():
-        raise InvalidQuantityError(f"NaN in rank inputs for quantity {quantity!r}")
-    block = np.concatenate([[prior_value], values.ravel()])[None, None, :]
-    n_less, n_equals, k = _rank_block(block, lambda r: rng)
-    return RankStatistic(
-        quantity=quantity,
-        n_less=int(n_less[0, 0]),
-        n_equals=int(n_equals[0, 0]),
-        k=int(k[0, 0]),
-        max_rank=int(values.size),
-    )
-
-
-def _evaluate_group(
+def evaluate_quantities(
     draws: np.ndarray, datasets: Sequence[Any], quantities: Sequence[TestQuantity]
 ) -> tuple[np.ndarray, dict[tuple[int, int], str]]:
     """Every quantity on a group's stacked (g, N, dim) draws: values (g, Q, N) and errors.
@@ -203,27 +130,38 @@ def _evaluate_group(
     return values, errors
 
 
-def evaluate_quantities(
-    prior_draw: np.ndarray,
-    posterior_draws: np.ndarray,
-    data: Any,
-    quantities: Sequence[TestQuantity],
-) -> tuple[dict[str, tuple[float, np.ndarray]], dict[str, str]]:
-    """Evaluate every quantity on the prior draw and on each posterior draw.
+def compute_rank(
+    values: np.ndarray, tie_rng: Callable[[int], np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n_less, n_equals, rank)``, each (g, Q), of a (g, Q, M+1) block of values.
 
-    Returns ``(values, errors)``: ``values[name] = (prior_value, posterior_values)``
-    with posterior order preserved; an evaluator that raises, returns the
-    wrong shape or returns NaN lands in ``errors`` without affecting the
-    other quantities. This is one simulation of the grouped evaluation.
+    ``values[r, j, 0]`` is the prior value of quantity j in simulation r and
+    ``values[r, j, 1:]`` its M posterior values. ``n_less`` counts strictly
+    smaller posterior values, ``n_equals`` exact ties, and ``rank`` adds the
+    tie share k, uniform on {0..n_equals}. A cell of all NaN (a quantity not
+    evaluated there) counts 0 and draws no share; a cell with NaN in only
+    some of its values raises :class:`InvalidQuantityError`. Simulation r's
+    tie shares come from one ``tie_rng(r).integers(0, n_equals + 1)`` call
+    over its evaluated quantities, which gives the values and the stream
+    state of one scalar call per quantity in order; ``tie_rng`` is called
+    only for a simulation with a tie, as a range of one value draws nothing.
     """
-    draws = np.vstack([np.asarray(prior_draw, float)[None, :], posterior_draws])[None]
-    out, failed = _evaluate_group(draws, [data], quantities)
-    values = {
-        q.name: (float(out[0, j, 0]), out[0, j, 1:])
-        for j, q in enumerate(quantities)
-        if (0, j) not in failed
-    }
-    return values, {quantities[j].name: message for (_, j), message in sorted(failed.items())}
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[2] < 2:
+        raise ValueError(f"values must be a (g, Q, M+1) block with M >= 1, got {values.shape}")
+    nan = np.count_nonzero(np.isnan(values), axis=2)
+    mixed = np.argwhere((nan > 0) & (nan < values.shape[2]))
+    if mixed.size:
+        r, j = mixed[0]
+        raise InvalidQuantityError(f"NaN in some but not all values of cell ({r}, {j})")
+    prior = values[:, :, :1]
+    n_less = np.count_nonzero(values[:, :, 1:] < prior, axis=2)
+    n_equals = np.count_nonzero(values[:, :, 1:] == prior, axis=2)
+    rank = n_less.copy()
+    for r in np.flatnonzero(n_equals.any(axis=1)):
+        evaluated = nan[r] == 0
+        rank[r, evaluated] += tie_rng(r).integers(0, n_equals[r, evaluated] + 1)
+    return n_less, n_equals, rank
 
 
 @dataclass
@@ -371,9 +309,9 @@ def run_sbc(
             stacked = np.empty((len(sims), M + 1, dim))
             stacked[:, 0] = thetas
             stacked[:, 1:] = draws
-            values, errors = _evaluate_group(stacked, list(datas), quantities)
-            n_less, n_equals, k = _rank_block(values, lambda r: tiebreak_stream(seed, sims[r]))
-            blocks.append((n_less, n_equals, n_less + k, ~np.isnan(values[:, :, 0])))
+            values, errors = evaluate_quantities(stacked, list(datas), quantities)
+            n_less, n_equals, rank = compute_rank(values, lambda r: tiebreak_stream(seed, sims[r]))
+            blocks.append((n_less, n_equals, rank, ~np.isnan(values[:, :, 0])))
             quantity_errors.extend((sims[r], names[j], m) for (r, j), m in sorted(errors.items()))
             ok.extend(sims)
             data.extend(datas)

@@ -85,6 +85,8 @@ class GaussianPosterior:
         if name not in VARIANT_NAMES:
             known = ", ".join(VARIANT_NAMES)
             raise ValueError(f"unknown gaussian variant {name!r}; known: {known}")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         self.name = name
         self.n = n
         if name == "prior-only":

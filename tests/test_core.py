@@ -1,10 +1,13 @@
 import tracemalloc
+from importlib import import_module
+from pkgutil import walk_packages
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbc_lab
 from sbc_lab import core
 from sbc_lab.core import TestQuantity as Quantity
 from sbc_lab.core import (
@@ -19,45 +22,60 @@ from sbc_lab.models import gaussian
 from sbc_lab.rng import generation_stream, posterior_stream, stream, tiebreak_stream
 
 
+def rank_one(prior, posterior, rng):
+    """``(n_less, n_equals, rank)`` of one prior value: a (1, 1, n+1) block ranked from ``rng``."""
+    block = np.concatenate([[prior], posterior])[None, None, :]
+    return tuple(int(a[0, 0]) for a in compute_rank(block, lambda r: rng))
+
+
 class TestComputeRank:
     def test_no_ties_direct_count(self):
-        stat = compute_rank(2.5, np.array([1.0, 2.0, 3.0]), stream(0, 0))
-        assert (stat.n_less, stat.n_equals, stat.rank) == (2, 0, 2)
+        assert rank_one(2.5, [1.0, 2.0, 3.0], stream(0, 0)) == (2, 0, 2)
 
     def test_all_tied_rank_spreads_uniformly(self):
-        seen = {compute_rank(1.0, np.array([1.0, 1.0, 1.0]), stream(0, i)).rank for i in range(200)}
+        seen = {rank_one(1.0, [1.0, 1.0, 1.0], stream(0, i))[2] for i in range(200)}
         assert seen == {0, 1, 2, 3}
 
     def test_partial_ties(self):
-        stat = compute_rank(5.0, np.array([5.0, 5.0, 1.0]), stream(3, 1))
-        assert stat.n_less == 1 and stat.n_equals == 2
-        assert stat.rank in {1, 2, 3}
+        n_less, n_equals, rank = rank_one(5.0, [5.0, 5.0, 1.0], stream(3, 1))
+        assert n_less == 1 and n_equals == 2
+        assert rank in {1, 2, 3}
 
     def test_tie_uniformity_frequencies(self):
         # fixed inputs with 4 tied values: each rank lands with freq 1/5 +- 0.01
-        values = np.array([0.0, 7.0, 7.0, 7.0, 7.0, 9.0])
-        rng = stream(42, 0)
         n_rep = 100_000
-        counts = np.zeros(7, dtype=int)
-        for _ in range(n_rep):
-            counts[compute_rank(7.0, values, rng).rank] += 1
+        block = np.tile([7.0, 0.0, 7.0, 7.0, 7.0, 7.0, 9.0], (n_rep, 1, 1))
+        rng = stream(42, 0)
+        counts = np.bincount(compute_rank(block, lambda r: rng)[2][:, 0], minlength=7)
         freqs = counts[1:6] / n_rep
         assert np.all(np.abs(freqs - 0.2) < 0.01)
         assert counts[0] == 0 and counts[6] == 0
 
     def test_infinities_participate_in_ordering_and_ties(self):
-        stat = compute_rank(-np.inf, np.array([-np.inf, 0.0, np.inf]), stream(1, 1))
-        assert stat.n_less == 0 and stat.n_equals == 1
+        n_less, n_equals, _ = rank_one(-np.inf, [-np.inf, 0.0, np.inf], stream(1, 1))
+        assert n_less == 0 and n_equals == 1
 
     def test_nan_rejected(self):
+        # NaN in some values of a cell but not all is a broken quantity
         with pytest.raises(InvalidQuantityError):
-            compute_rank(np.nan, np.array([1.0]), stream(0, 0))
+            rank_one(np.nan, [1.0], stream(0, 0))
         with pytest.raises(InvalidQuantityError):
-            compute_rank(0.0, np.array([np.nan, 1.0]), stream(0, 0))
+            rank_one(0.0, [np.nan, 1.0], stream(0, 0))
+
+    def test_all_nan_cell_is_not_evaluated(self):
+        # an all-NaN cell counts 0 and draws no tie share, so the tied cell
+        # next to it draws what it would draw alone
+        block = np.array([[[np.nan] * 4, [1.0, 0.5, 1.0, 2.0]]])
+        n_less, n_equals, rank = compute_rank(block, lambda r: stream(5, 0))
+        assert n_less.tolist() == [[0, 1]] and n_equals.tolist() == [[0, 1]]
+        assert rank.tolist() == [[0, rank_one(1.0, [0.5, 1.0, 2.0], stream(5, 0))[2]]]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compute_rank(0.0, np.array([]), stream(0, 0))
+        # a block needs a prior column and at least one posterior column, in 3-D
+        with pytest.raises(ValueError, match="block with M >= 1"):
+            compute_rank(np.zeros((1, 1, 1)), lambda r: stream(0, 0))
+        with pytest.raises(ValueError, match="block with M >= 1"):
+            compute_rank(np.zeros((1, 3)), lambda r: stream(0, 0))
 
     @given(
         values=st.lists(st.sampled_from([k * 0.5 for k in range(-40, 41)]), min_size=1, max_size=30),
@@ -71,9 +89,8 @@ class TestComputeRank:
         # half-integer grid and power-of-two scales keep the transform exact,
         # so orderings and ties are preserved bit-for-bit
         arr = np.asarray(values)
-        a = compute_rank(prior, arr, stream(key, 0))
-        b = compute_rank(scale * prior + shift, scale * arr + shift, stream(key, 0))
-        assert (a.n_less, a.n_equals, a.rank) == (b.n_less, b.n_equals, b.rank)
+        a = rank_one(prior, arr, stream(key, 0))
+        assert rank_one(scale * prior + shift, scale * arr + shift, stream(key, 0)) == a
 
     @given(
         values=st.lists(
@@ -85,9 +102,9 @@ class TestComputeRank:
     def test_strictly_decreasing_transform_flips_rank(self, values, key):
         arr = np.asarray(values)
         prior = 0.25  # off-grid: never tied
-        a = compute_rank(prior, arr, stream(key, 0))
-        b = compute_rank(-prior, -arr, stream(key, 0))
-        assert b.rank == len(values) - a.rank
+        a = rank_one(prior, arr, stream(key, 0))
+        b = rank_one(-prior, -arr, stream(key, 0))
+        assert b[2] == len(values) - a[2]
 
 
 class TestTieBreakStream:
@@ -114,21 +131,19 @@ class TestTieBreakStream:
 
 
 class TestEvaluateQuantities:
-    def _record(self):
-        # prior draw, posterior draws, data
-        return np.array([0.3, -1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), None
+    def _group(self):
+        # one simulation: its prior draw stacked on its posterior draws, and its dataset
+        return np.array([[[0.3, -1.0], [1.0, 2.0], [3.0, 4.0]]]), [None]
 
     def test_projection_and_sum(self):
         quantities = [
             Quantity("first", lambda draws, data: draws[:, 0]),
             Quantity("total", lambda draws, data: draws.sum(axis=1)),
         ]
-        values, errors = evaluate_quantities(*self._record(), quantities)
+        values, errors = evaluate_quantities(*self._group(), quantities)
         assert errors == {}
-        assert values["first"][0] == pytest.approx(0.3)
-        assert values["total"][0] == pytest.approx(-0.7)
-        np.testing.assert_allclose(values["first"][1], [1.0, 3.0])
-        np.testing.assert_allclose(values["total"][1], [3.0, 7.0])
+        np.testing.assert_allclose(values[0, 0], [0.3, 1.0, 3.0])
+        np.testing.assert_allclose(values[0, 1], [-0.7, 3.0, 7.0])
 
     def test_failure_isolated_per_quantity(self):
         def boom(draws, data):
@@ -138,8 +153,9 @@ class TestEvaluateQuantities:
             Quantity("bad", boom),
             Quantity("good", lambda draws, data: draws[:, 1]),
         ]
-        values, errors = evaluate_quantities(*self._record(), quantities)
-        assert "bad" in errors and "good" in values
+        values, errors = evaluate_quantities(*self._group(), quantities)
+        assert errors == {(0, 0): "RuntimeError: broken evaluator"}
+        assert np.isnan(values[0, 0]).all() and values[0, 1].tolist() == [-1.0, 2.0, 4.0]
 
 
 class _ToyGenerator:
@@ -324,8 +340,10 @@ class TestRunSbc:
         # uniform{0..9} has mean 4.5, sd ~2.87; allow 4 sigma of the mean
         assert abs(ranks.mean() - 4.5) < 4 * 2.872 / np.sqrt(ranks.size)
 
-    def test_ranks_equal_per_quantity_compute_rank(self):
-        # reference: one compute_rank call per quantity on the simulation's tie-break stream
+    def test_ranks_equal_a_scalar_oracle(self):
+        # reference: per quantity in library order, count the smaller and the
+        # equal posterior values and draw one tie share from the simulation's
+        # tie-break stream (a range of one draws nothing: see TestTieBreakStream)
         qs = [
             Quantity("sign", lambda draws, data: np.sign(draws[:, 0])),
             *_QS,
@@ -338,9 +356,11 @@ class TestRunSbc:
             draws = _ToyFamily().sample(data, 9, posterior_stream(8, i), 1)
             tie_rng = tiebreak_stream(8, i)
             for j, q in enumerate(qs):
-                stat = compute_rank(q(theta, data), q.evaluator(draws, data), tie_rng)
+                prior, post = q.evaluator(theta[None, :], data)[0], q.evaluator(draws, data)
+                n_less, n_equal = int(np.sum(post < prior)), int(np.sum(post == prior))
+                rank = n_less + int(tie_rng.integers(0, n_equal + 1))
                 got = (run.rank[row, j], run.n_less[row, j], run.n_equals[row, j])
-                assert got == (stat.rank, stat.n_less, stat.n_equals)
+                assert got == (rank, n_less, n_equal)
 
     def test_tie_stream_opened_only_on_ties(self, monkeypatch):
         opened = []
@@ -497,16 +517,16 @@ class TestGroupedEvaluation:
             Quantity("shaped", lambda draws, data: draws[:-1, 0]),
             Quantity("first", lambda draws, data: draws[:, 0], batch=lambda d, ds: d[..., 0]),
         ]
-        prior, post = np.array([0.3]), np.array([[1.04], [2.0], [0.26]])
-        values, errors = evaluate_quantities(prior, post, 2.0, quantities)
-        assert list(values) == ["first"] and values["first"][0] == 0.3
-        assert values["first"][1].tolist() == [1.04, 2.0, 0.26]
+        draws = np.array([[[0.3], [1.04], [2.0], [0.26]]])
+        values, errors = evaluate_quantities(draws, [2.0], quantities)
+        assert values[0, 2].tolist() == [0.3, 1.04, 2.0, 0.26]
+        assert np.isnan(values[0, :2]).all()
         assert errors == {
-            "rounded": "InvalidQuantityError: NaN in rank inputs for quantity 'rounded'",
-            "shaped": "InvalidQuantityError: evaluator 'shaped' returned shape (3,), expected (4,)",
+            (0, 0): "InvalidQuantityError: NaN in rank inputs for quantity 'rounded'",
+            (0, 1): "InvalidQuantityError: evaluator 'shaped' returned shape (3,), expected (4,)",
         }
-        values, errors = evaluate_quantities(prior, post, 1.0, quantities[:1])
-        assert errors == {} and values["rounded"][1].tolist() == [1.0, 2.0, 0.3]
+        values, errors = evaluate_quantities(draws, [1.0], quantities[:1])
+        assert errors == {} and values[0, 0].tolist() == [0.3, 1.0, 2.0, 0.3]
 
 
     def test_every_library_quantity_is_one_group_kernel(self):
@@ -518,6 +538,14 @@ class TestGroupedEvaluation:
                     for q in spec.quantities(spec.family(variant, n), n):
                         assert q.batch is not None, (model, variant, n, q.name)
                         assert q.evaluator.__qualname__ == "group_quantity.<locals>.evaluator"
+
+def test_every_exported_name_resolves():
+    # a removed function must not stay behind as an export
+    names = [m.name for m in walk_packages(sbc_lab.__path__, "sbc_lab.")]
+    for module in [sbc_lab, *map(import_module, names)]:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
 
 class TestEss:
     def test_independent_chain(self):

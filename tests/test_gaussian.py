@@ -86,9 +86,9 @@ class TestBatchForms:
         rng = stream(M, n)
         sims = [args[0].generate(rng) for _ in range(300)]
         draws = np.stack([np.vstack([mu, family.sample(y, M, rng)]) for mu, y in sims])
-        values, _ = core._evaluate_group(draws, [y for _, y in sims], args[2])
+        values, _ = core.evaluate_quantities(draws, [y for _, y in sims], args[2])
         for r in range(300):
-            one, _ = core._evaluate_group(draws[r : r + 1], [sims[r][1]], args[2])
+            one, _ = core.evaluate_quantities(draws[r : r + 1], [sims[r][1]], args[2])
             assert one.tobytes() == values[r : r + 1].tobytes()
 
 def one_simulation_draws(family, y, M, rng):
@@ -219,6 +219,13 @@ class TestVariantSamplers:
         with pytest.raises(ValueError):
             gaussian.make_variant("nosuch", n=3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("variant", gaussian.VARIANT_NAMES)
+    def test_no_data_points_rejected(self, variant, n):
+        # the generator's bound: no variant's mean or scale is defined at n < 1
+        with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+            gaussian.make_variant(variant, n=n)
+
 
 class TestQuadraticForm:
     @given(
@@ -272,13 +279,13 @@ class TestQuantities:
 
     def test_log_lik_closed_form_at_origin(self):
         lib = {q.name: q for q in gaussian.quantity_library(1)}
-        val = lib["mvn_log_lik"](np.zeros(2), np.zeros((1, 2)))
+        val = lib["mvn_log_lik"].evaluator(np.zeros((1, 2)), np.zeros((1, 2)))[0]
         assert val == pytest.approx(-np.log(2 * np.pi) - 0.5 * np.log(0.36))
 
     def test_drop_quantity_branches(self):
         lib = {q.name: q for q in gaussian.quantity_library(3)}
-        assert lib["drop_mu1"](np.array([1.5, 0.0]), None) == pytest.approx(-3.5)
-        assert lib["drop_mu1"](np.array([0.5, 0.0]), None) == pytest.approx(0.5)
+        got = lib["drop_mu1"].evaluator(np.array([[1.5, 0.0], [0.5, 0.0]]), None)
+        np.testing.assert_allclose(got, [-3.5, 0.5])
 
     def test_density_ratio_on_correct_is_exactly_one(self):
         fam = gaussian.make_variant("correct", n=3)

@@ -3,8 +3,8 @@
 import types
 from pathlib import Path
 
-from sbc_lab import cli, diagnostics
-from sbc_lab.models import simplex
+from sbc_lab import cli, core, diagnostics
+from sbc_lab.models import gaussian, simplex
 
 
 def load_tracer():
@@ -46,3 +46,18 @@ def test_tracer_counts_null_lookups_in_the_null_cache(monkeypatch):
         assert (tracer.counters["null_misses"], tracer.counters["null_hits"]) == (1, 1)
     finally:
         tracer.restore()
+
+
+def test_tracer_times_evaluation_and_ranking():
+    # run_sbc evaluates and ranks each group through the two public steps the
+    # tracer wraps, so core.quantities_s and core.rank_s read what they cost
+    family = gaussian.make_variant("correct", 3)
+    args = (gaussian.GaussianGenerator(3), family, gaussian.quantity_library(3, family))
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        core.run_sbc(*args, S=20, M=9, seed=3)
+    finally:
+        tracer.restore()
+    assert {"core.run_sbc", "core.quantities", "core.rank"} <= set(tracer.names)
