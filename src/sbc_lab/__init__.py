@@ -9,7 +9,6 @@ from .core import (
     compute_rank,
     ess,
     evaluate_quantities,
-    group_quantity,
     run_sbc,
 )
 from .diagnostics import (
@@ -31,7 +30,6 @@ from .diagnostics import (
 
 __all__ = [
     "TestQuantity",
-    "group_quantity",
     "SbcRun",
     "SamplerError",
     "InvalidQuantityError",

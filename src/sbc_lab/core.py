@@ -10,12 +10,10 @@ A run keeps its ranks as one columnar table, one row per successful
 simulation and one column per quantity; it keeps no posterior draws.
 Quantities are evaluated and ranked one group of successful simulations at a
 time: the group's prior and posterior draws are stacked into one
-(g, M+1, dim) array, each quantity is evaluated once over the group through
-its ``batch`` form (or, without one, once per simulation through its
-``evaluator``; :func:`group_quantity` writes both as one kernel), and the
-whole (g, Q, M+1) block is ranked at once. These two steps are the public
-:func:`evaluate_quantities` and :func:`compute_rank`; a single simulation is
-a group of one.
+(g, M+1, dim) array, each quantity's kernel is called once on the group,
+and the whole (g, Q, M+1) block is ranked at once. These two steps are the
+public :func:`evaluate_quantities` and :func:`compute_rank`; a single
+simulation is a group of one.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .rng import MAX_SEED, generation_stream, posterior_stream, tiebreak_stream
 
 __all__ = [
     "TestQuantity",
-    "group_quantity",
     "SbcRun",
     "SamplerError",
     "InvalidQuantityError",
@@ -47,45 +44,33 @@ class SamplerError(RuntimeError):
 
 
 class InvalidQuantityError(ValueError):
-    """A test quantity produced NaN or a wrong shape: a broken evaluator or sampler."""
+    """A test quantity produced NaN or a wrong shape: a broken kernel or sampler."""
 
 
 @dataclass(frozen=True)
 class TestQuantity:
-    """Named scalar function of (parameters, data).
+    """Named scalar function of (parameters, data), written as one group kernel.
 
-    ``evaluator`` is vectorized over draws: it maps an (N, dim) array of
-    parameter vectors plus the dataset to an (N,) array of values. Values of
-    +/-inf are legal (they order and tie like any other value); NaN is not.
-
-    ``batch``, if given, evaluates a group of simulations at once: it maps a
-    (g, N, dim) array of draws plus the sequence of the g datasets to a
-    (g, N) array whose row r equals ``evaluator(draws[r], datasets[r])`` bit
-    for bit, so ranks never depend on the grouping. A batch call that raises
-    or returns another shape is not an error of its own: the group is then
-    evaluated one simulation at a time through ``evaluator``.
+    ``kernel(draws, datasets)`` maps a (g, N, dim) array of parameter vectors
+    plus the sequence of the g datasets to a (g, N) array of values. Row r
+    must depend only on ``draws[r]`` and ``datasets[r]``, computed the same
+    way whatever g, so ranks never depend on the grouping; a single
+    simulation is a group of one. Values of +/-inf are legal (they order and
+    tie like any other value); NaN is not.
     """
 
     name: str
-    evaluator: Callable[[np.ndarray, Any], np.ndarray]
-    batch: Callable[[np.ndarray, Sequence[Any]], np.ndarray] | None = None
+    kernel: Callable[[np.ndarray, Sequence[Any]], np.ndarray]
 
 
-def group_quantity(
-    name: str, kernel: Callable[[np.ndarray, Sequence[Any]], np.ndarray]
-) -> TestQuantity:
-    """A quantity written once, as the group kernel ``kernel(draws, datasets)``.
-
-    The kernel maps (g, N, dim) draws and the g datasets to (g, N) values and
-    is the ``batch`` form; ``evaluator`` runs it on a group of one. A kernel
-    whose row r depends only on ``draws[r]`` and ``datasets[r]``, computed
-    the same way whatever g, thereby meets the ``batch`` contract.
-    """
-
-    def evaluator(draws: np.ndarray, data: Any) -> np.ndarray:
-        return kernel(np.asarray(draws, dtype=float)[None], [data])[0]
-
-    return TestQuantity(name, evaluator, batch=kernel)
+def _kernel_values(q: TestQuantity, draws: np.ndarray, datasets: Sequence[Any]) -> np.ndarray:
+    """``q``'s (g, N) values on a group of draws; another shape raises InvalidQuantityError."""
+    out = np.asarray(q.kernel(draws, datasets), dtype=float)
+    if out.shape != draws.shape[:2]:
+        raise InvalidQuantityError(
+            f"quantity {q.name!r} returned shape {out.shape}, expected {draws.shape[:2]}"
+        )
+    return out
 
 
 def evaluate_quantities(
@@ -95,34 +80,28 @@ def evaluate_quantities(
 
     ``errors[r, j]`` is the message of quantity j failing in simulation r of
     the group (it raised, returned the wrong shape or gave NaN); that cell's
-    values are all NaN. A quantity's ``batch`` form serves the whole group
-    when it returns a (g, N) array; otherwise ``evaluator`` runs once per
-    simulation, so one bad simulation costs only its own cell.
+    values are all NaN. Each kernel is called once on the whole group; if
+    that call raises or returns another shape than (g, N), the kernel runs
+    on each simulation as a group of one, so one bad simulation costs only
+    its own cell. Draws that are not 3-D, or ``datasets`` not of length g,
+    raise ``ValueError``.
     """
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 3 or len(datasets) != len(draws):
+        raise ValueError(f"need (g, N, dim) draws and g datasets, got {draws.shape} and {len(datasets)}")
     g, N = draws.shape[:2]
     values = np.empty((g, len(quantities), N))
     errors: dict[tuple[int, int], str] = {}
     for j, q in enumerate(quantities):
-        out = None
-        if q.batch is not None:
-            try:
-                out = np.asarray(q.batch(draws, datasets), dtype=float)
-            except Exception:  # noqa: BLE001 - the per-simulation path records the failure
-                pass
-        if out is not None and out.shape == (g, N):
-            values[:, j] = out
-            continue
-        for r in range(g):
-            try:
-                got = np.asarray(q.evaluator(draws[r], datasets[r]), dtype=float)
-                if got.shape != (N,):
-                    raise InvalidQuantityError(
-                        f"evaluator {q.name!r} returned shape {got.shape}, expected ({N},)"
-                    )
-                values[r, j] = got
-            except Exception as exc:  # noqa: BLE001 - per-quantity isolation is the contract
-                errors[r, j] = f"{type(exc).__name__}: {exc}"
-                values[r, j] = np.nan
+        try:
+            values[:, j] = _kernel_values(q, draws, datasets)
+        except Exception:  # noqa: BLE001 - the groups of one below record the failure
+            for r in range(g):
+                try:
+                    values[r, j] = _kernel_values(q, draws[r : r + 1], [datasets[r]])[0]
+                except Exception as exc:  # noqa: BLE001 - per-quantity isolation is the contract
+                    errors[r, j] = f"{type(exc).__name__}: {exc}"
+                    values[r, j] = np.nan
     for r, j in zip(*np.nonzero(np.isnan(values).any(axis=2))):
         name = quantities[j].name
         errors.setdefault((r, j), f"InvalidQuantityError: NaN in rank inputs for quantity {name!r}")
@@ -260,7 +239,7 @@ def run_sbc(
     that string where the failure is caught; so are simulations whose draws
     hold NaN. A group's successful simulations are evaluated and ranked in
     groups sized by ``_GROUP_BYTES`` before the next group is generated, so a
-    run holds one group's draws (see :class:`TestQuantity` for the ``batch``
+    run holds one group's draws (see :class:`TestQuantity` for the kernel
     contract); a quantity that raises, has the wrong shape or gives NaN is
     left unranked in that simulation and listed in ``quantity_errors``.
     ``seed`` must be from 0 to :data:`~sbc_lab.rng.MAX_SEED`: any other would

@@ -577,8 +577,9 @@ def chi_square_uniformity(rank_set: RankSet, n_bins: int | None = None) -> ChiSq
     """Chi-square test of the ranks against uniform{0..M}.
 
     Cells are contiguous, as equal as possible in width over the M+1 rank
-    values (equal-probability cells). ``low_expected`` flags any expected
-    cell count below 5.
+    values (equal-probability cells); ``n_bins`` is capped at M+1, and below
+    2 (no degree of freedom) raises ``ValueError``. ``low_expected`` flags
+    any expected cell count below 5.
     """
     M = rank_set.max_rank
     S = rank_set.S
@@ -586,7 +587,9 @@ def chi_square_uniformity(rank_set: RankSet, n_bins: int | None = None) -> ChiSq
         raise ValueError("rank set must contain at least one rank")
     if n_bins is None:
         n_bins = default_chi2_bins(S, M)
-    n_bins = int(min(max(n_bins, 1), M + 1))
+    if n_bins < 2:
+        raise ValueError(f"n_bins must be at least 2, got {n_bins}")
+    n_bins = int(min(n_bins, M + 1))
     base, extra = divmod(M + 1, n_bins)
     sizes = np.full(n_bins, base, dtype=int)
     sizes[:extra] += 1

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import TestQuantity, group_quantity
+from ..core import TestQuantity
 
 __all__ = [
     "QuantileFamily",
@@ -399,12 +399,12 @@ def quantity_library() -> list[TestQuantity]:
         return np.where(np.equal(ys, 1)[:, None], d[..., 0], 1.0 - d[..., 0])
 
     return [
-        group_quantity("theta", lambda d, ys: d[..., 0]),
-        group_quantity("likelihood", likelihood),
-        group_quantity(
+        TestQuantity("theta", lambda d, ys: d[..., 0]),
+        TestQuantity("likelihood", likelihood),
+        TestQuantity(
             "theta_wrapped", lambda d, ys: np.where(d[..., 0] < 0.5, d[..., 0], d[..., 0] - 1.0)
         ),
-        group_quantity("theta_clamped", lambda d, ys: np.minimum(d[..., 0], 0.5)),
+        TestQuantity("theta_clamped", lambda d, ys: np.minimum(d[..., 0], 0.5)),
     ]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ..core import TestQuantity, group_quantity
+from ..core import TestQuantity
 
 __all__ = [
     "SIGMA",
@@ -186,7 +186,7 @@ def _quadratic_form(rows: np.ndarray) -> np.ndarray:
     The terms rows[n, i] * _SIGMA_INV[i, j] * rows[n, j] are added to zero
     in the order (0, 0), (0, 1), (1, 0), (1, 1), elementwise, so a row's
     value does not depend on the rows it is computed with, and a group
-    kernel meets the ``batch`` contract of :func:`~sbc_lab.core.group_quantity`.
+    kernel meets the contract of :class:`~sbc_lab.core.TestQuantity`.
     From three rows on this is ``einsum("ni,ij,nj->n")``'s order and bits,
     in less than half its time.
     """
@@ -198,28 +198,28 @@ def _quadratic_form(rows: np.ndarray) -> np.ndarray:
 
 
 def quantity_library(n: int, variant=None) -> list[TestQuantity]:
-    """Test quantities for the bivariate model, each with a batch form.
+    """Test quantities for the bivariate model, each one group kernel.
 
     ``density_ratio`` (correct posterior density over the variant's density)
     is included only when the variant has a closed-form ``log_density``;
     requesting it for a density-free variant is an error handled upstream.
     """
     quantities = [
-        group_quantity("mu[1]", lambda d, ys: d[..., 0]),
-        group_quantity("mu[2]", lambda d, ys: d[..., 1]),
-        group_quantity("sum", lambda d, ys: d[..., 0] + d[..., 1]),
-        group_quantity("diff", lambda d, ys: d[..., 0] - d[..., 1]),
-        group_quantity("product", lambda d, ys: d[..., 0] * d[..., 1]),
-        group_quantity("mvn_log_lik", _log_lik),
+        TestQuantity("mu[1]", lambda d, ys: d[..., 0]),
+        TestQuantity("mu[2]", lambda d, ys: d[..., 1]),
+        TestQuantity("sum", lambda d, ys: d[..., 0] + d[..., 1]),
+        TestQuantity("diff", lambda d, ys: d[..., 0] - d[..., 1]),
+        TestQuantity("product", lambda d, ys: d[..., 0] * d[..., 1]),
+        TestQuantity("mvn_log_lik", _log_lik),
         *(  # pointwise log-likelihoods of the first two data points that exist
-            group_quantity(
+            TestQuantity(
                 f"mvn_log_lik[{k + 1}]",
                 lambda d, ys, k=k: _log_lik(d, [y[k : k + 1] for y in ys]),
             )
             for k in range(min(n, 2))
         ),
-        group_quantity("abs_mu1", lambda d, ys: np.abs(d[..., 0])),
-        group_quantity(
+        TestQuantity("abs_mu1", lambda d, ys: np.abs(d[..., 0])),
+        TestQuantity(
             "drop_mu1", lambda d, ys: np.where(d[..., 0] < 1.0, d[..., 0], d[..., 0] - 5.0)
         ),
     ]
@@ -230,5 +230,5 @@ def quantity_library(n: int, variant=None) -> list[TestQuantity]:
             y = np.stack(ys)
             return np.exp(correct.log_density(d, y) - variant.log_density(d, y))
 
-        quantities.append(group_quantity("density_ratio", ratio))
+        quantities.append(TestQuantity("density_ratio", ratio))
     return quantities

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit, gammaln
 
-from ..core import SamplerError, TestQuantity, ess, group_quantity
+from ..core import SamplerError, TestQuantity, ess
 from ..rng import copy_stream
 
 __all__ = [
@@ -362,6 +362,8 @@ def _metropolis_block(
 
 def _ess_min(chain: np.ndarray) -> float:
     """Minimum effective sample size over the columns of a (T, dim) chain."""
+    if chain.shape[0] < 10:  # too short for ess to estimate: below the target, so extended
+        return 0.0
     return float(min(ess(chain[:, d]).ess for d in range(chain.shape[1])))
 
 
@@ -529,7 +531,7 @@ def quantity_library() -> list[TestQuantity]:
         return _log_prior(_log_x_columns(draws)).reshape(draws.shape[:2])
 
     return [
-        *(group_quantity(f"x[{i + 1}]", lambda d, ys, i=i: d[..., i]) for i in range(4)),
-        group_quantity("log_lik", log_lik),
-        group_quantity("log_prior", log_prior),
+        *(TestQuantity(f"x[{i + 1}]", lambda d, ys, i=i: d[..., i]) for i in range(4)),
+        TestQuantity("log_lik", log_lik),
+        TestQuantity("log_prior", log_prior),
     ]

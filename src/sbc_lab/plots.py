@@ -37,6 +37,11 @@ _PALETTE = (
 )
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _open_svg(title: str, timestamp: bool) -> list[str]:
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -45,7 +50,7 @@ def _open_svg(title: str, timestamp: bool) -> list[str]:
     ]
     if timestamp:
         parts.append(f"<!-- generated {datetime.now(timezone.utc).isoformat()} -->")
-    parts.append(f'<title>{title}</title>')
+    parts.append(f'<title>{_escape(title)}</title>')
     parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
     return parts
 
@@ -61,7 +66,9 @@ def _axes(parts: list[str], x_label: str, y_label: str, title: str) -> None:
         f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {_H / 2:.1f})">{y_label}</text>'
     )
-    parts.append(f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>')
+    parts.append(
+        f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="14">{_escape(title)}</text>'
+    )
 
 
 def _xmap(frac: np.ndarray) -> np.ndarray:
@@ -136,7 +143,7 @@ def svg_rank_histogram(
     parts = _open_svg(f"rank histogram: {quantity}", timestamp)
     parts.append(
         "<desc>"
-        f"quantity={quantity} S={S} M={M} edges={_fmt(edges)} counts={_fmt(counts)} "
+        f"quantity={_escape(quantity)} S={S} M={M} edges={_fmt(edges)} counts={_fmt(counts)} "
         f"band_lo={_fmt(lo)} band_hi={_fmt(hi)}"
         "</desc>"
     )
@@ -176,7 +183,7 @@ def svg_ecdf_difference(
     parts = _open_svg(f"ecdf difference: {quantity}", timestamp)
     parts.append(
         "<desc>"
-        f"quantity={quantity} S={S} M={M} R={_fmt(R)} band_lower={_fmt(band.lower)} "
+        f"quantity={_escape(quantity)} S={S} M={M} R={_fmt(R)} band_lower={_fmt(band.lower)} "
         f"band_upper={_fmt(band.upper)}"
         "</desc>"
     )
@@ -202,7 +209,7 @@ def svg_evolution(
     n_max = max(int(t.n_sims[-1]) for t in traces)
     parts = _open_svg(f"evolution: {title}", timestamp)
     desc = " ".join(
-        f"{t.quantity}:[{_fmt(t.log_ratio)}]" for t in traces
+        f"{_escape(t.quantity)}:[{_fmt(t.log_ratio)}]" for t in traces
     )
     parts.append(f"<desc>n_max={n_max} {desc}</desc>")
     _axes(parts, "simulations", "log(gamma/gamma_bar)", title)
@@ -215,6 +222,6 @@ def svg_evolution(
         )
         parts.append(
             f'<text x="{_W - _MR - 150}" y="{_MT + 14 * (k + 1)}" fill="{color}">'
-            f"{trace.quantity}</text>"
+            f"{_escape(trace.quantity)}</text>"
         )
     _write(parts, path)

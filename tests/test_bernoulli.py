@@ -241,14 +241,14 @@ class TestQuantityLibrary:
         key=st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batch_equals_evaluator_bit_for_bit(self, g, M, key):
+    def test_group_equals_groups_of_one_bit_for_bit(self, g, M, key):
         rng = stream(key, 0)
         draws = rng.uniform(size=(g, M + 1, 1))
         draws[rng.uniform(size=(g, M + 1)) < 0.1] = 0.5  # the wrap's and the clamp's edge
         datasets = [int(y) for y in rng.integers(0, 2, size=g)]
         for q in bm.quantity_library():
-            got = q.batch(draws, datasets)
-            expected = np.stack([q.evaluator(draws[r], datasets[r]) for r in range(g)])
+            got = q.kernel(draws, datasets)
+            expected = np.concatenate([q.kernel(draws[r : r + 1], [datasets[r]]) for r in range(g)])
             assert got.shape == (g, M + 1), q.name
             assert got.tobytes() == expected.tobytes(), q.name
 

@@ -170,10 +170,10 @@ class TestExitCodes:
         assert entry["log_ratio"] < 0.0
 
     def test_quantity_failing_in_some_simulations(self, tmp_path, monkeypatch, capsys):
-        def flaky(draws, y):
-            if y[0, 0] >= 1.0:
+        def flaky(draws, ys):
+            if any(y[0, 0] >= 1.0 for y in ys):
                 raise ValueError("no value for this dataset")
-            return draws[:, 0]
+            return draws[..., 0]
 
         spec = cli.MODELS["gaussian"]
         with_flaky = lambda family, n: [*spec.quantities(family, n), Quantity("flaky", flaky)]
@@ -288,13 +288,13 @@ class TestExitCodes:
         assert json.loads(read(out / "report.json"))["failures"] == len(run.failures)
 
     def test_no_complete_quantity_skips_the_evolution_figure(self, tmp_path, monkeypatch, capsys):
-        def low(draws, y):
-            return draws[:, 0] + (np.nan if y[0, 0] < -1.0 else 0.0)
+        def low(draws, ys):
+            return draws[..., 0] + np.array([np.nan if y[0, 0] < -1.0 else 0.0 for y in ys])[:, None]
 
-        def high(draws, y):
-            if y[0, 0] > 1.0:
+        def high(draws, ys):
+            if any(y[0, 0] > 1.0 for y in ys):
                 raise ValueError("too high")
-            return draws[:, 1]
+            return draws[..., 1]
 
         spec = cli.MODELS["gaussian"]
         two = lambda family, n: [Quantity("low", low), Quantity("high", high)]

@@ -137,8 +137,8 @@ class TestEvaluateQuantities:
 
     def test_projection_and_sum(self):
         quantities = [
-            Quantity("first", lambda draws, data: draws[:, 0]),
-            Quantity("total", lambda draws, data: draws.sum(axis=1)),
+            Quantity("first", lambda draws, datasets: draws[..., 0]),
+            Quantity("total", lambda draws, datasets: draws.sum(axis=2)),
         ]
         values, errors = evaluate_quantities(*self._group(), quantities)
         assert errors == {}
@@ -146,16 +146,29 @@ class TestEvaluateQuantities:
         np.testing.assert_allclose(values[0, 1], [-0.7, 3.0, 7.0])
 
     def test_failure_isolated_per_quantity(self):
-        def boom(draws, data):
-            raise RuntimeError("broken evaluator")
+        def boom(draws, datasets):
+            raise RuntimeError("broken kernel")
 
         quantities = [
             Quantity("bad", boom),
-            Quantity("good", lambda draws, data: draws[:, 1]),
+            Quantity("good", lambda draws, datasets: draws[..., 1]),
         ]
         values, errors = evaluate_quantities(*self._group(), quantities)
-        assert errors == {(0, 0): "RuntimeError: broken evaluator"}
+        assert errors == {(0, 0): "RuntimeError: broken kernel"}
         assert np.isnan(values[0, 0]).all() and values[0, 1].tolist() == [-1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "draws, datasets",
+        [
+            (np.zeros((2, 3, 1)), [None]),  # one dataset for two simulations
+            (np.zeros((2, 3, 1)), [None] * 3),
+            (np.zeros((3, 1)), [None] * 3),  # not a (g, N, dim) block
+        ],
+    )
+    def test_misshapen_input_rejected(self, draws, datasets):
+        quantities = [Quantity("first", lambda draws, datasets: draws[..., 0])]
+        with pytest.raises(ValueError, match=r"need \(g, N, dim\) draws and g datasets"):
+            evaluate_quantities(draws, datasets, quantities)
 
 
 class _ToyGenerator:
@@ -247,7 +260,7 @@ class _CostlyFailingBatchedFamily(_CostlyFailingFamily, _ToyBatchedFamily):
     pass
 
 
-_QS = [Quantity("theta", lambda draws, data: draws[:, 0])]
+_QS = [Quantity("theta", lambda draws, datasets: draws[..., 0])]
 
 
 class TestRunSbc:
@@ -345,9 +358,9 @@ class TestRunSbc:
         # equal posterior values and draw one tie share from the simulation's
         # tie-break stream (a range of one draws nothing: see TestTieBreakStream)
         qs = [
-            Quantity("sign", lambda draws, data: np.sign(draws[:, 0])),
+            Quantity("sign", lambda draws, datasets: np.sign(draws[..., 0])),
             *_QS,
-            Quantity("floor", lambda draws, data: np.floor(2.0 * draws[:, 0])),
+            Quantity("floor", lambda draws, datasets: np.floor(2.0 * draws[..., 0])),
         ]
         run = run_sbc(_ToyGenerator(), _ToyFamily(), qs, S=50, M=9, seed=8)
         assert run.n_equals.any() and not run.n_equals.all()
@@ -356,7 +369,8 @@ class TestRunSbc:
             draws = _ToyFamily().sample(data, 9, posterior_stream(8, i), 1)
             tie_rng = tiebreak_stream(8, i)
             for j, q in enumerate(qs):
-                prior, post = q.evaluator(theta[None, :], data)[0], q.evaluator(draws, data)
+                values = q.kernel(np.vstack([theta, draws])[None], [data])[0]
+                prior, post = values[0], values[1:]
                 n_less, n_equal = int(np.sum(post < prior)), int(np.sum(post == prior))
                 rank = n_less + int(tie_rng.integers(0, n_equal + 1))
                 got = (run.rank[row, j], run.n_less[row, j], run.n_equals[row, j])
@@ -372,15 +386,15 @@ class TestRunSbc:
         monkeypatch.setattr(core, "tiebreak_stream", tiebreak)
         run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=30, M=9, seed=8)
         assert opened == []
-        rounded = Quantity("rounded", lambda draws, data: np.round(draws[:, 0], 1))
+        rounded = Quantity("rounded", lambda draws, datasets: np.round(draws[..., 0], 1))
         run = run_sbc(_ToyGenerator(), _ToyFamily(), [rounded, *_QS], S=30, M=9, seed=8)
         assert 0 < len(opened) < 30
         assert opened == run.sim_index[run.n_equals.any(axis=1)].tolist()
 
     def test_nan_quantity_is_a_quantity_error(self):
         # NaN is a per-(simulation, quantity) failure, like a wrong shape
-        def flaky(draws, data):
-            return np.where(data >= 1.0, np.nan, draws[:, 0])
+        def flaky(draws, datasets):
+            return np.where(np.greater_equal(datasets, 1.0)[:, None], np.nan, draws[..., 0])
 
         qs = [Quantity("flaky", flaky), *_QS]
         run = run_sbc(_ToyGenerator(), _ToyFamily(), qs, S=200, M=9, seed=3)
@@ -450,47 +464,38 @@ class TestRunSbc:
         assert peak(4000) - peak(2000) < extra_draws / 2
 
 
-def _rounded(draws, data):
-    """Ties in some simulations; raises in others."""
-    if data > 1.5:
-        raise ArithmeticError(f"no value at {data:.3f}")
-    return np.round(draws[:, 0], 1)
+def _rounded(draws, datasets):
+    """Ties in some simulations; raises for a group holding a dataset above 1.5."""
+    high = [data for data in datasets if data > 1.5]
+    if high:
+        raise ArithmeticError(f"no value at {high[0]:.3f}")
+    return np.round(draws[..., 0], 1)
 
 
-def _rounded_nan(draws, data):
-    """Ties in some simulations; NaN in others."""
-    return np.round(draws[:, 0], 1) + (np.nan if data > 1.5 else 0.0)
+def _rounded_misshapen(draws, datasets):
+    """Ties in some simulations; one column short for a group holding a dataset above 1.5."""
+    values = np.round(draws[..., 0], 1)
+    return values[:, :-1] if max(datasets) > 1.5 else values
 
 
-def _stacked(draws, datasets):
-    """The batch form of ``_rounded_nan``: NaN rows where it gives NaN."""
-    return np.stack([_rounded_nan(d, data) for d, data in zip(draws, datasets)])
-
-
-def _raising_batch(draws, datasets):
-    raise RuntimeError("batch form broken")
-
-
-def _misshapen_batch(draws, datasets):
-    return draws[:, 1:, 0]
+def _rounded_nan(draws, datasets):
+    """Ties in some simulations; NaN in those with a dataset above 1.5."""
+    return np.round(draws[..., 0], 1) + np.where(np.greater(datasets, 1.5), np.nan, 0.0)[:, None]
 
 
 class TestGroupedEvaluation:
-    """A batch form that fails, misshapes or gives NaN costs what the per-simulation path costs."""
+    """A kernel that fails, misshapes or gives NaN in some simulations costs the same at any grouping."""
 
     @pytest.mark.parametrize(
-        "evaluator, batch, error",
+        "kernel, error",
         [
-            (_rounded, _raising_batch, "ArithmeticError: no value at "),
-            (_rounded, _misshapen_batch, "ArithmeticError: no value at "),
-            (_rounded_nan, _stacked, "InvalidQuantityError: NaN in rank inputs for quantity 'rounded'"),
+            (_rounded, "ArithmeticError: no value at "),
+            (_rounded_misshapen, "InvalidQuantityError: quantity 'rounded' returned shape (1, 9), expected (1, 10)"),
+            (_rounded_nan, "InvalidQuantityError: NaN in rank inputs for quantity 'rounded'"),
         ],
     )
-    @pytest.mark.parametrize("group_bytes", [1, 8 * 10 * 3 * 7, core._GROUP_BYTES])
-    def test_same_outcome_as_the_per_simulation_path(
-        self, monkeypatch, evaluator, batch, error, group_bytes
-    ):
-        def outcome(quantity):
+    def test_same_outcome_at_every_grouping(self, monkeypatch, kernel, error):
+        def outcome(group_bytes):
             opened = []
 
             def tiebreak(seed, i):
@@ -498,24 +503,28 @@ class TestGroupedEvaluation:
                 return tiebreak_stream(seed, i)
 
             monkeypatch.setattr(core, "tiebreak_stream", tiebreak)
-            run = run_sbc(_ToyGenerator(), _ToyFamily(), [*_QS, quantity], S=80, M=9, seed=21)
+            monkeypatch.setattr(core, "_GROUP_BYTES", group_bytes)
+            quantities = [*_QS, Quantity("rounded", kernel)]
+            run = run_sbc(_ToyGenerator(), _ToyFamily(), quantities, S=80, M=9, seed=21)
             return run, opened
 
-        plain, plain_opened = outcome(Quantity("rounded", evaluator))
-        monkeypatch.setattr(core, "_GROUP_BYTES", group_bytes)  # groups of 1, 7 and all 80
-        run, opened = outcome(Quantity("rounded", evaluator, batch=batch))
-        assert 0 < len(plain.quantity_errors) < 80 and 0 < len(plain_opened) < 80
-        assert all(m.startswith(error) for _, _, m in run.quantity_errors)
-        assert run.quantity_errors == plain.quantity_errors
-        assert opened == plain_opened
-        for table in ("rank", "n_less", "n_equals", "evaluated"):
-            assert getattr(run, table).tolist() == getattr(plain, table).tolist(), table
+        # groups of 1, 7 and all 80
+        (single, single_opened), *grouped = map(outcome, (1, 8 * 10 * 3 * 7, core._GROUP_BYTES))
+        assert 0 < len(single.quantity_errors) < 80 and 0 < len(single_opened) < 80
+        bad = [i for i, data in zip(single.sim_index.tolist(), single.data) if data > 1.5]
+        assert [i for i, _, _ in single.quantity_errors] == bad
+        assert all(m.startswith(error) for _, _, m in single.quantity_errors)
+        for run, opened in grouped:
+            assert run.quantity_errors == single.quantity_errors
+            assert opened == single_opened
+            for table in ("rank", "n_less", "n_equals", "evaluated"):
+                assert getattr(run, table).tolist() == getattr(single, table).tolist(), table
 
     def test_evaluate_quantities_is_a_group_of_one(self):
         quantities = [
-            Quantity("rounded", _rounded_nan, batch=_stacked),
-            Quantity("shaped", lambda draws, data: draws[:-1, 0]),
-            Quantity("first", lambda draws, data: draws[:, 0], batch=lambda d, ds: d[..., 0]),
+            Quantity("rounded", _rounded_nan),
+            Quantity("shaped", lambda draws, datasets: draws[:, :-1, 0]),
+            Quantity("first", lambda draws, datasets: draws[..., 0]),
         ]
         draws = np.array([[[0.3], [1.04], [2.0], [0.26]]])
         values, errors = evaluate_quantities(draws, [2.0], quantities)
@@ -523,21 +532,11 @@ class TestGroupedEvaluation:
         assert np.isnan(values[0, :2]).all()
         assert errors == {
             (0, 0): "InvalidQuantityError: NaN in rank inputs for quantity 'rounded'",
-            (0, 1): "InvalidQuantityError: evaluator 'shaped' returned shape (3,), expected (4,)",
+            (0, 1): "InvalidQuantityError: quantity 'shaped' returned shape (1, 3), expected (1, 4)",
         }
         values, errors = evaluate_quantities(draws, [1.0], quantities[:1])
         assert errors == {} and values[0, 0].tolist() == [0.3, 1.0, 2.0, 0.3]
 
-
-    def test_every_library_quantity_is_one_group_kernel(self):
-        from sbc_lab.cli import MODELS
-
-        for model, spec in MODELS.items():
-            for variant in spec.variants:
-                for n in (1, 3):
-                    for q in spec.quantities(spec.family(variant, n), n):
-                        assert q.batch is not None, (model, variant, n, q.name)
-                        assert q.evaluator.__qualname__ == "group_quantity.<locals>.evaluator"
 
 def test_every_exported_name_resolves():
     # a removed function must not stay behind as an export

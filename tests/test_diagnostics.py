@@ -872,7 +872,7 @@ class TestEcdfBand:
 def scipy_chisquare(rank_set, n_bins):
     """scipy.stats.chisquare on the cells of chi_square_uniformity."""
     M = rank_set.max_rank
-    n_bins = int(min(max(n_bins, 1), M + 1))
+    n_bins = int(min(n_bins, M + 1))
     base, extra = divmod(M + 1, n_bins)
     sizes = np.full(n_bins, base, dtype=int)
     sizes[:extra] += 1
@@ -885,13 +885,13 @@ class TestChiSquare:
     @given(
         S=st.integers(min_value=1, max_value=3000),
         M=st.integers(min_value=1, max_value=250),
-        n_bins=st.integers(min_value=1, max_value=300),
+        n_bins=st.integers(min_value=2, max_value=300),
         skew=st.sampled_from([1.0, 0.9, 3.0]),
         key=st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=300, deadline=None)
     def test_equals_scipy_chisquare_bit_for_bit(self, S, M, n_bins, skew, key):
-        # one bin (dof 0, p NaN in both) and expected counts below 5 included
+        # expected counts below 5 included
         draws = stream(key, 0).beta(skew, 1.0, size=S)
         rank_set = RankSet(np.minimum(((M + 1) * draws).astype(int), M), M)
         res = chi_square_uniformity(rank_set, n_bins=n_bins)
@@ -899,13 +899,19 @@ class TestChiSquare:
         assert np.float64(res.statistic).tobytes() == np.float64(statistic).tobytes()
         assert np.float64(res.p_value).tobytes() == np.float64(p_value).tobytes()
 
-    def test_equals_scipy_chisquare_at_one_bin_and_low_expected(self):
-        for ranks, M, n_bins in (([0, 0, 3], 3, 1), ([0], 1, 5), (list(range(10)), 9, 10)):
+    def test_equals_scipy_chisquare_at_low_expected(self):
+        for ranks, M, n_bins in (([0, 0, 3], 3, 2), ([0], 1, 5), (list(range(10)), 9, 10)):
             rank_set = RankSet(np.array(ranks), M)
             res = chi_square_uniformity(rank_set, n_bins=n_bins)
             expected = np.array(scipy_chisquare(rank_set, n_bins))
             assert np.array([res.statistic, res.p_value]).tobytes() == expected.tobytes()
             assert res.low_expected
+
+    @pytest.mark.parametrize("n_bins", [1, 0, -3])
+    def test_fewer_than_two_bins_rejected(self, n_bins):
+        # one bin has no degree of freedom: the test would return p NaN
+        with pytest.raises(ValueError, match=f"n_bins must be at least 2, got {n_bins}"):
+            chi_square_uniformity(RankSet(np.arange(10), 9), n_bins=n_bins)
 
     def test_balanced_ranks_give_p_one(self):
         ranks = np.repeat(np.arange(10), 5)  # 5 in each of 10 cells

@@ -45,7 +45,7 @@ class TestGenerator:
         assert not out.exists()
 
 
-class TestBatchForms:
+class TestGroupKernels:
     @given(
         variant=st.sampled_from(gaussian.VARIANT_NAMES),
         n=st.sampled_from([1, 2, 3, 20]),
@@ -54,18 +54,18 @@ class TestBatchForms:
         key=st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=80, deadline=None)
-    def test_batch_equals_evaluator_bit_for_bit(self, variant, n, g, M, key):
+    def test_group_equals_groups_of_one_bit_for_bit(self, variant, n, g, M, key):
         generator, family = gaussian.GaussianGenerator(n), gaussian.make_variant(variant, n)
         rng = stream(key, 0)
         sims = [generator.generate(rng) for _ in range(g)]
         datasets = [y for _, y in sims]
         with np.errstate(invalid="ignore"):  # ignore-first at n=1 has no data left: NaN
             draws = np.stack([np.vstack([mu, family.sample(y, M, rng)]) for mu, y in sims])
-        batched = [q for q in gaussian.quantity_library(n, family) if q.batch is not None]
-        assert len(batched) == (9 if n == 1 else 10) + (family.log_density is not None)
-        for q in batched:
-            got = q.batch(draws, datasets)
-            expected = np.stack([q.evaluator(draws[r], datasets[r]) for r in range(g)])
+        quantities = gaussian.quantity_library(n, family)
+        assert len(quantities) == (9 if n == 1 else 10) + (family.log_density is not None)
+        for q in quantities:
+            got = q.kernel(draws, datasets)
+            expected = np.concatenate([q.kernel(draws[r : r + 1], [datasets[r]]) for r in range(g)])
             assert got.shape == (g, M + 1), q.name
             assert got.tobytes() == expected.tobytes(), q.name
 
@@ -271,7 +271,7 @@ class TestQuantities:
         y = rng.standard_normal((n, 2))
         draws = rng.standard_normal((6, 2))
         lib = {q.name: q for q in gaussian.quantity_library(n)}
-        ours = lib["mvn_log_lik"].evaluator(draws, y)
+        ours = lib["mvn_log_lik"].kernel(draws[None], [y])[0]
         ref = np.array(
             [sum(stats.multivariate_normal.logpdf(yk, d, gaussian.SIGMA) for yk in y) for d in draws]
         )
@@ -279,12 +279,12 @@ class TestQuantities:
 
     def test_log_lik_closed_form_at_origin(self):
         lib = {q.name: q for q in gaussian.quantity_library(1)}
-        val = lib["mvn_log_lik"].evaluator(np.zeros((1, 2)), np.zeros((1, 2)))[0]
+        val = lib["mvn_log_lik"].kernel(np.zeros((1, 1, 2)), [np.zeros((1, 2))])[0, 0]
         assert val == pytest.approx(-np.log(2 * np.pi) - 0.5 * np.log(0.36))
 
     def test_drop_quantity_branches(self):
         lib = {q.name: q for q in gaussian.quantity_library(3)}
-        got = lib["drop_mu1"].evaluator(np.array([[1.5, 0.0], [0.5, 0.0]]), None)
+        got = lib["drop_mu1"].kernel(np.array([[[1.5, 0.0], [0.5, 0.0]]]), [None])[0]
         np.testing.assert_allclose(got, [-3.5, 0.5])
 
     def test_density_ratio_on_correct_is_exactly_one(self):
@@ -293,7 +293,7 @@ class TestQuantities:
         rng = stream(10, 0)
         y = rng.standard_normal((3, 2))
         draws = rng.standard_normal((50, 2))
-        np.testing.assert_array_equal(lib["density_ratio"].evaluator(draws, y), np.ones(50))
+        np.testing.assert_array_equal(lib["density_ratio"].kernel(draws[None], [y])[0], np.ones(50))
 
     def test_pointwise_log_lik_only_for_existing_points(self, tmp_path, capsys):
         def pointwise(n):

@@ -1,11 +1,12 @@
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from sbc_lab import plots
-from sbc_lab.diagnostics import RankSet
+from sbc_lab.diagnostics import EvolutionTrace, RankSet, ecdf_band
 
 # S per case, and the draw counts M whose every bin probability w / (M + 1),
 # w = 1..M+1, is checked: w = M + 1 is p = 1
@@ -41,3 +42,19 @@ def test_histogram_band_is_the_binomial_quantile(n_bins, tmp_path):
     hi = re.search(r"band_hi=([\d. ]+)</desc>", svg).group(1)
     assert lo == plots._fmt(stats.binom.ppf(0.025, 37, probs))
     assert hi == plots._fmt(stats.binom.ppf(0.975, 37, probs))
+
+
+def test_names_and_titles_are_escaped(tmp_path):
+    # a quantity name or title holding XML markup must still give well-formed files
+    name, title = "p&q<1", "a&b"
+    rank_set = RankSet(np.arange(37) % 8, 7)
+    trace = EvolutionTrace(name, np.array([10, 37]), np.array([0.5, -0.25]))
+    plots.svg_rank_histogram(rank_set, tmp_path / "h.svg", quantity=name, timestamp=False)
+    plots.svg_ecdf_difference(rank_set, ecdf_band(37, 7), tmp_path / "e.svg", quantity=name, timestamp=False)
+    plots.svg_evolution([trace], tmp_path / "v.svg", title=title, timestamp=False)
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    for path, shown in (("h.svg", name), ("e.svg", name), ("v.svg", title)):
+        root = ElementTree.parse(tmp_path / path).getroot()
+        assert root.find("svg:title", ns).text.endswith(": " + shown)
+        assert name in root.find("svg:desc", ns).text
+        assert any(text.text.startswith(shown) for text in root.iterfind("svg:text", ns))

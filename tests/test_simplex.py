@@ -316,6 +316,22 @@ class TestBatchedFamily:
         assert run.failures == [(i, message) for i in range(3)]
         assert run.sim_index.size == 0
 
+    def test_short_chains_fail_as_sampler_errors_in_one_call(self, monkeypatch):
+        # M * thin < 10 is too short for ess: such chains are extended, and
+        # even ten blocks cannot reach the target, so each chain fails on its
+        # own instead of the group's call raising
+        calls = []
+        fam = sx.RwmSimplexFamily("min")
+        sample_batch = fam.sample_batch
+        monkeypatch.setattr(fam, "sample_batch", lambda *args: calls.append(1) or sample_batch(*args))
+        run = run_sbc(sx.SimplexGenerator(), fam, sx.quantity_library(), S=6, M=5, seed=3)
+        assert len(calls) == 1
+        assert [i for i, _ in run.failures] == list(range(6))
+        assert all(message.startswith("SamplerError: ") for _, message in run.failures)
+        assert f"SamplerError: min ESS below 100 after {sx._MAX_EXTENSIONS} chain extensions" in {
+            message for _, message in run.failures
+        }
+
 
 class TestQuantities:
     def test_log_prior_and_log_lik_match_scipy(self):
@@ -323,14 +339,11 @@ class TestQuantities:
 
         rng = stream(34, 0)
         draws = np.sort(rng.dirichlet(sx.ALPHA, size=200), axis=1)
-        library = {q.name: q.evaluator for q in sx.quantity_library()}
+        library = {q.name: q.kernel for q in sx.quantity_library()}
         for y in (np.array([0, 0, 0, 10]), np.array([1, 2, 3, 4]), np.array([3, 0, 5, 2])):
-            np.testing.assert_allclose(
-                library["log_prior"](draws, y), stats.dirichlet.logpdf(draws.T, sx.ALPHA), rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                library["log_lik"](draws, y), stats.multinomial.logpmf(y, sx.N_TRIALS, draws), rtol=1e-12
-            )
+            log_prior, log_lik = (library[name](draws[None], [y])[0] for name in ("log_prior", "log_lik"))
+            np.testing.assert_allclose(log_prior, stats.dirichlet.logpdf(draws.T, sx.ALPHA), rtol=1e-12)
+            np.testing.assert_allclose(log_lik, stats.multinomial.logpmf(y, sx.N_TRIALS, draws), rtol=1e-12)
 
     @given(
         g=st.integers(min_value=1, max_value=40),
@@ -338,13 +351,13 @@ class TestQuantities:
         key=st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batch_equals_evaluator_bit_for_bit(self, g, M, key):
+    def test_group_equals_groups_of_one_bit_for_bit(self, g, M, key):
         rng = stream(key, 0)
         draws = np.sort(rng.dirichlet(sx.ALPHA, size=(g, M + 1)), axis=-1)
         datasets = [rng.multinomial(sx.N_TRIALS, x) for x in draws[:, 0]]
         for q in sx.quantity_library():
-            got = q.batch(draws, datasets)
-            expected = np.stack([q.evaluator(draws[r], datasets[r]) for r in range(g)])
+            got = q.kernel(draws, datasets)
+            expected = np.concatenate([q.kernel(draws[r : r + 1], [datasets[r]]) for r in range(g)])
             assert got.shape == (g, M + 1), q.name
             assert got.tobytes() == expected.tobytes(), q.name
 
