@@ -12,8 +12,8 @@ Quantities are evaluated and ranked one group of successful simulations at a
 time: the group's prior and posterior draws are stacked into one
 (g, M+1, dim) array, each quantity's kernel is called once on the group,
 and the whole (g, Q, M+1) block is ranked at once. These two steps are the
-public :func:`evaluate_quantities` and :func:`compute_rank`; a single
-simulation is a group of one.
+public :func:`evaluate_quantities` and :func:`compute_rank`, and sampling is
+one ``sample_batch`` call a group; a single simulation is a group of one.
 """
 
 from __future__ import annotations
@@ -230,28 +230,31 @@ def run_sbc(
     ``seed`` (generation, posterior sampling, and tie-breaking, opened only
     when some quantity ties), so the output is bitwise identical for a fixed
     seed whatever the grouping; ``generate(rng)`` is a function of the stream
-    alone. Simulations are generated and sampled in groups sized by
-    ``_LOCKSTEP_BYTES``: in lockstep by ``sample_batch``, or one at a time
-    through ``sample`` if the family has none or the call raises or miscounts.
-    Simulations whose sampling raises (:class:`SamplerError` or anything
-    else) or returns draws of the wrong shape are left out of the rank table
-    and listed in ``failures`` with the exception type and message, kept as
-    that string where the failure is caught; so are simulations whose draws
-    hold NaN. A group's successful simulations are evaluated and ranked in
-    groups sized by ``_GROUP_BYTES`` before the next group is generated, so a
-    run holds one group's draws (see :class:`TestQuantity` for the kernel
-    contract); a quantity that raises, has the wrong shape or gives NaN is
-    left unranked in that simulation and listed in ``quantity_errors``.
-    ``seed`` must be from 0 to :data:`~sbc_lab.rng.MAX_SEED`: any other would
-    run the streams of a seed in that range.
+    alone. The family's one method, ``sample_batch(datasets, M, streams,
+    thin)``, returns per dataset its (M, dim) draws, from its stream alone, or
+    the exception that failed it; a family without it raises TypeError. Groups
+    sized by ``_LOCKSTEP_BYTES`` are generated and sampled by one call each,
+    or as groups of one if that call raises or miscounts. A simulation whose
+    sampling fails (raised, returned or misshapen) or whose draws hold NaN is
+    left out of the rank table and listed in ``failures`` with the exception
+    type and message, kept as that string where the failure is caught. A
+    group's successful simulations are evaluated and ranked in groups sized by
+    ``_GROUP_BYTES`` before the next group is generated, so a run holds one
+    group's draws (see :class:`TestQuantity` for the kernel contract); a
+    quantity that raises, has the wrong shape or gives NaN is left unranked in
+    that simulation and listed in ``quantity_errors``. ``seed`` must be from 0
+    to :data:`~sbc_lab.rng.MAX_SEED`: any other would run the streams of a
+    seed in that range.
     """
     if S < 1 or M < 1 or thin_stride < 1:
         raise ValueError("S, M and thin_stride must all be >= 1")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be from 0 to {MAX_SEED}, got {seed}")
+    sample_batch = getattr(posterior_family, "sample_batch", None)
+    if sample_batch is None:
+        raise TypeError(f"posterior family {type(posterior_family).__name__} has no sample_batch")
     names = [q.name for q in quantities]
     dim = np.size(generator.generate(generation_stream(seed, 0))[0])  # simulation 0 sizes groups
-    batch = getattr(posterior_family, "sample_batch", None)
     chunk = max(1, _LOCKSTEP_BYTES // (8 * M * thin_stride * dim))
     group = max(1, _GROUP_BYTES // (8 * (M + 1) * (dim + len(names))))
     ok: list[int] = []
@@ -264,20 +267,19 @@ def run_sbc(
         sampled = range(lo, min(lo + chunk, S))
         out = good = priors = datasets = thetas = draws = stacked = values = None  # frees the last group
         priors, datasets = zip(*(generator.generate(generation_stream(seed, i)) for i in sampled))
-        if batch is not None:
-            streams = [posterior_stream(seed, i) for i in sampled]
-            with suppress(Exception):  # a group whose call raises is sampled below
-                out = [
-                    _checked_draws(got, (M, dim))
-                    for got in batch(list(datasets), M, streams, thin_stride)
-                ]
+        streams = [posterior_stream(seed, i) for i in sampled]
+        with suppress(Exception):  # a group whose call raises is sampled below
+            out = [
+                _checked_draws(got, (M, dim))
+                for got in sample_batch(list(datasets), M, streams, thin_stride)
+            ]
         if out is None or len(out) != len(sampled):
-            # each simulation owns its stream, so sampling one at a time isolates
-            # a failure and gives the other simulations their results from the group
+            # each simulation owns its stream, so a group of one isolates a
+            # failure and gives the other simulations their results from the group
             out = []
             for i, dataset in zip(sampled, datasets):
                 try:
-                    got = posterior_family.sample(dataset, M, posterior_stream(seed, i), thin_stride)
+                    (got,) = sample_batch([dataset], M, [posterior_stream(seed, i)], thin_stride)
                     out.append(_checked_draws(got, (M, dim)))
                 except Exception as exc:  # noqa: BLE001 - one failing simulation must not end the run
                     out.append(f"{type(exc).__name__}: {exc}")

@@ -152,8 +152,10 @@ def _check_max_rank(M: int) -> None:
 
 
 def _integer_ranks(given) -> np.ndarray:
-    """``given`` as an int array, or ValueError if any value is not an integer."""
+    """``given`` as a 1-D int array, or ValueError if it is not one of integers."""
     given = np.asarray(given)
+    if given.ndim != 1:
+        raise ValueError(f"ranks must be a 1-D array, got shape {given.shape}")
     with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
         ranks = given.astype(int)
     if not np.array_equal(ranks, given):

@@ -390,8 +390,8 @@ class FamilySampler:
     def name(self) -> str:
         return self.family.name
 
-    def sample(self, data: int, M: int, rng: np.random.Generator, thin: int = 1) -> np.ndarray:
-        return self.family.sample(int(data), M, rng)[:, None]
+    def sample_batch(self, datas, M: int, streams, thin: int = 1) -> list[np.ndarray]:
+        return [self.family.sample(int(y), M, rng)[:, None] for y, rng in zip(datas, streams)]
 
 
 def quantity_library() -> list[TestQuantity]:

@@ -107,15 +107,15 @@ class GaussianPosterior:
         return self.n * y.mean(axis=-2) / (self.n + 1.0)
 
     def sample(self, y, M, rng, thin=1):
+        """A group of one, which ``run_sbc`` never calls: kept for the benchmark tracer and the golden pin."""
         return self.sample_batch([y], M, [rng], thin)[0]
 
     def sample_batch(self, ys, M, streams, thin=1):
         """(g, M, 2) draws for g datasets, row r from ``streams[r]`` alone.
 
-        Each stream gives its simulation's normals in the order of one
-        ``sample`` call (small-bias's shift first), and the group's arithmetic
-        runs elementwise, with one (M, 2) @ (2, 2) product per simulation, so
-        row r is bit for bit what ``sample(ys[r], M, streams[r])`` returns
+        Each stream gives its simulation's normals (small-bias's shift first),
+        and the group's arithmetic runs elementwise, with one (M, 2) @ (2, 2)
+        product per simulation, so row r has the bits of its group of one
         whatever the grouping. ``thin`` is ignored: the draws are independent.
         """
         g = len(streams)

@@ -439,21 +439,14 @@ class RwmSimplexFamily:
     proposal noise is drawn per simulation in fixed-size blocks, and chains
     step in lockstep (:func:`_thinned_chains`), so results do not depend on
     how simulations are grouped. The thinning stride ``thin`` is the one
-    setting; the sampler's tuning is fixed. A chain that fails raises
-    :class:`SamplerError` from ``sample`` and is returned as one from
-    ``sample_batch``, and is excluded upstream.
+    setting; the sampler's tuning is fixed. A chain that fails is returned
+    as its :class:`SamplerError`, and is excluded upstream.
     """
 
     def __init__(self, variant: str):
         self.variant = variant
         self.dim = unconstrained_dim(variant)
         self.name = variant
-
-    def sample(self, data, M, rng, thin):
-        out = self.sample_batch([data], M, [rng], thin)
-        if isinstance(out[0], SamplerError):
-            raise out[0]
-        return out[0]
 
     def sample_batch(self, datas, M, streams, thin):
         ys = np.asarray(datas, dtype=float)
@@ -480,29 +473,31 @@ class RwmSimplexFamily:
         return out
 
 
+def _ordered_posterior(y, M, rng):
+    """M ordered posterior draws, 512 proposals at a time, or a SamplerError after 400 blocks."""
+    alpha_post = ALPHA + np.asarray(y, dtype=float)
+    kept, filled = [], 0
+    for _ in range(400):
+        draws = rng.dirichlet(alpha_post, size=512)
+        kept.append(draws[np.all(np.diff(draws, axis=1) > 0.0, axis=1)])
+        filled += len(kept[-1])
+        if filled >= M:
+            return np.concatenate(kept)[:M]
+    return SamplerError("ordered region too improbable for rejection sampling")
+
+
 class ExactOrderedDirichletFamily:
     """Exact posterior draws by rejection: Dirichlet(alpha + y) kept if ordered.
 
     The model's posterior is the Dirichlet(alpha + y) density restricted to
     the strictly increasing region, so rejection from the unordered
-    posterior is exact. Fails if the ordered region is too improbable.
+    posterior is exact. An ordered region too improbable for it gives a SamplerError.
     """
 
     name = "exact-min"
 
-    def sample(self, data, M, rng, thin=1):
-        alpha_post = ALPHA + np.asarray(data, dtype=float)
-        out = np.empty((M, 4))
-        filled = 0
-        for _ in range(400):
-            draws = rng.dirichlet(alpha_post, size=512)
-            good = draws[np.all(np.diff(draws, axis=1) > 0.0, axis=1)]
-            take = min(M - filled, good.shape[0])
-            out[filled : filled + take] = good[:take]
-            filled += take
-            if filled == M:
-                return out
-        raise SamplerError("ordered region too improbable for rejection sampling")
+    def sample_batch(self, datas, M, streams, thin=1):
+        return [_ordered_posterior(y, M, rng) for y, rng in zip(datas, streams)]
 
 
 @dataclass(frozen=True)

@@ -104,11 +104,12 @@ def _write(parts: list[str], path: str | Path) -> None:
 
 
 def histogram_bin_counts(rank_set: RankSet, n_bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Bin ranks into equal-width cells over {0..M}; returns (edges, counts)."""
+    """(edges, counts) of the ranks in ``n_bins`` (at most M+1) equal-width cells over {0..M}."""
     M = rank_set.max_rank
-    if n_bins is None:
-        n_bins = min(M + 1, 20)
-    n_bins = int(min(max(n_bins, 1), M + 1))
+    n_bins = min(M + 1, 20) if n_bins is None else n_bins
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be at least 1, got {n_bins}")
+    n_bins = int(min(n_bins, M + 1))
     edges = np.round(np.linspace(0, M + 1, n_bins + 1)).astype(int)
     counts = np.add.reduceat(np.bincount(rank_set.ranks, minlength=M + 1), edges[:-1])
     return edges, counts

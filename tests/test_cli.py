@@ -205,11 +205,12 @@ class TestExitCodes:
             class NanDraws:
                 name = family.name
 
-                def sample(self, y, M, rng, thin=1):
-                    draws = family.sample(y, M, rng, thin)
-                    if y[0, 0] > 2.0 or always_nan:
-                        draws[0, :] = np.nan
-                    return draws
+                def sample_batch(self, ys, M, streams, thin=1):
+                    out = family.sample_batch(ys, M, streams, thin)
+                    for y, draws in zip(ys, out):
+                        if y[0, 0] > 2.0 or always_nan:
+                            draws[0, :] = np.nan
+                    return out
 
             return NanDraws()
 
@@ -249,12 +250,12 @@ class TestExitCodes:
             class Failing:
                 name = family.name
 
-                def sample(self, y, M, rng, thin=1):
-                    if y[0, 0] > 1.0:
+                def sample_batch(self, ys, M, streams, thin=1):
+                    if any(y[0, 0] > 1.0 for y in ys):
                         raise SamplerError("too high")
-                    if y[0, 0] < -1.0:
+                    if any(y[0, 0] < -1.0 for y in ys):
                         raise FloatingPointError("too low")
-                    return family.sample(y, M, rng, thin)
+                    return family.sample_batch(ys, M, streams, thin)
 
             return Failing()
 

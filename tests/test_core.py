@@ -18,7 +18,7 @@ from sbc_lab.core import (
     evaluate_quantities,
     run_sbc,
 )
-from sbc_lab.models import gaussian
+from sbc_lab.models import bernoulli, gaussian, simplex
 from sbc_lab.rng import generation_stream, posterior_stream, stream, tiebreak_stream
 
 
@@ -181,51 +181,52 @@ class _ToyGenerator:
 class _ToyFamily:
     name = "toy-correct"
 
-    def sample(self, data, M, rng, thin):
-        # correct posterior for x ~ N(theta, 1), theta ~ N(0, 1)
-        return rng.normal(loc=data / 2.0, scale=np.sqrt(0.5), size=(M, 1))
-
-
-class _ToyBatchedFamily(_ToyFamily):
     def sample_batch(self, datas, M, streams, thin):
-        return [self.sample(d, M, rng, thin) for d, rng in zip(datas, streams)]
+        # correct posterior for x ~ N(theta, 1), theta ~ N(0, 1)
+        return [rng.normal(loc=d / 2.0, scale=np.sqrt(0.5), size=(M, 1)) for d, rng in zip(datas, streams)]
 
 
 class _FlakyFamily(_ToyFamily):
+    """Raises a SamplerError for a group holding a dataset above 1.0."""
+
     name = "toy-flaky"
 
-    def sample(self, data, M, rng, thin):
-        if data > 1.0:
+    def sample_batch(self, datas, M, streams, thin):
+        if max(datas) > 1.0:
             raise SamplerError("refused to fit")
-        return super().sample(data, M, rng, thin)
+        return super().sample_batch(datas, M, streams, thin)
 
 
-class _PickyBatchedFamily(_ToyBatchedFamily):
-    """Raises a non-SamplerError for large data, so any group holding one fails."""
+class _PickyFamily(_ToyFamily):
+    """Raises a non-SamplerError for a group holding a dataset above 1.5."""
 
     name = "toy-picky"
 
-    def sample(self, data, M, rng, thin):
-        if data > 1.5:
-            raise KeyError(f"no fit for {data:.3f}")
-        return super().sample(data, M, rng, thin)
+    def sample_batch(self, datas, M, streams, thin):
+        high = [d for d in datas if d > 1.5]
+        if high:
+            raise KeyError(f"no fit for {high[0]:.3f}")
+        return super().sample_batch(datas, M, streams, thin)
 
 
-class _MisshapenBatchedFamily(_ToyBatchedFamily):
+class _MisshapenFamily(_ToyFamily):
+    """Returns one draw too few for a dataset above 1.5."""
+
     name = "toy-misshapen"
 
-    def sample(self, data, M, rng, thin):
-        draws = super().sample(data, M, rng, thin)
-        return draws[:-1] if data > 1.5 else draws
+    def sample_batch(self, datas, M, streams, thin):
+        out = super().sample_batch(datas, M, streams, thin)
+        return [draws[:-1] if d > 1.5 else draws for d, draws in zip(datas, out)]
 
 
-class _ShortBatchedFamily(_ToyBatchedFamily):
-    """Gives one result too few for every group."""
+class _ShortFamily(_ToyFamily):
+    """Gives one result too few for every group of more than one."""
 
     name = "toy-short"
 
     def sample_batch(self, datas, M, streams, thin):
-        return super().sample_batch(datas, M, streams, thin)[:-1]
+        out = super().sample_batch(datas, M, streams, thin)
+        return out[:-1] if len(out) > 1 else out
 
 
 class _NonNumericFamily(_ToyFamily):
@@ -233,31 +234,33 @@ class _NonNumericFamily(_ToyFamily):
 
     name = "toy-non-numeric"
 
-    def sample(self, data, M, rng, thin):
-        draws = super().sample(data, M, rng, thin)
-        if data > 1.5:
-            return [*draws[1:].tolist(), [0.0, 0.0]]
-        return "no draws" if data < -1.5 else draws
-
-
-class _NonNumericBatchedFamily(_NonNumericFamily, _ToyBatchedFamily):
-    pass
+    def sample_batch(self, datas, M, streams, thin):
+        out = super().sample_batch(datas, M, streams, thin)
+        return [
+            [*draws[1:].tolist(), [0.0, 0.0]] if d > 1.5 else "no draws" if d < -1.5 else draws
+            for d, draws in zip(datas, out)
+        ]
 
 
 class _CostlyFailingFamily(_ToyFamily):
-    """Fills a working array, then raises for positive data."""
+    """Fills a working array, then raises for a group holding positive data."""
 
     name = "toy-costly"
 
-    def sample(self, data, M, rng, thin):
+    def sample_batch(self, datas, M, streams, thin):
         work = np.ones((M, 1000))
-        if data > 0.0:
+        if max(datas) > 0.0:
             raise SamplerError(f"no fit after {work.size} steps")
-        return super().sample(data, M, rng, thin)
+        return super().sample_batch(datas, M, streams, thin)
 
 
-class _CostlyFailingBatchedFamily(_CostlyFailingFamily, _ToyBatchedFamily):
-    pass
+class _SampleOnlyFamily:
+    """A family with a per-simulation `sample` and no `sample_batch`."""
+
+    name = "toy-sample-only"
+
+    def sample(self, data, M, rng, thin):
+        return rng.normal(size=(M, 1))
 
 
 _QS = [Quantity("theta", lambda draws, datasets: draws[..., 0])]
@@ -272,10 +275,33 @@ class TestRunSbc:
         ]
         assert tables[0] == tables[1]
 
-    def test_batched_path_matches_per_sim_path(self):
-        a = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=25, M=9, seed=5)
-        b = run_sbc(_ToyGenerator(), _ToyBatchedFamily(), _QS, S=25, M=9, seed=5)
-        assert a.rank.tolist() == b.rank.tolist()
+    @pytest.mark.parametrize("family", [_PickyFamily(), _MisshapenFamily()])
+    def test_same_outcome_at_every_sampled_grouping(self, monkeypatch, family):
+        # sampling fails for datasets above 1.5, by a raising group call that is
+        # then sampled as groups of one or by draws of the wrong shape, and
+        # `low` gives NaN for datasets below -1
+        def low(draws, datasets):
+            return np.round(draws[..., 0], 1) + np.where(np.less(datasets, -1.0), np.nan, 0.0)[:, None]
+
+        def outcome(lockstep_bytes):
+            monkeypatch.setattr(core, "_LOCKSTEP_BYTES", lockstep_bytes)
+            quantities = [*_QS, Quantity("low", low)]
+            return run_sbc(_ToyGenerator(), family, quantities, S=80, M=9, seed=21)
+
+        # groups of 1, 7 and all 80: 8 * M * thin * dim bytes a simulation
+        single, *grouped = map(outcome, (8 * 9, 8 * 9 * 7, core._LOCKSTEP_BYTES))
+        assert 0 < single.n_failed < 80 and 0 < len(single.quantity_errors) < 80 - single.n_failed
+        for run in grouped:
+            assert (run.failures, run.data) == (single.failures, single.data)
+            assert run.quantity_errors == single.quantity_errors
+            assert run.rank.tolist() == single.rank.tolist()
+
+    def test_a_family_without_sample_batch_is_rejected_before_any_simulation(self, monkeypatch):
+        opened = []
+        monkeypatch.setattr(core, "generation_stream", lambda *key: opened.append(key))
+        with pytest.raises(TypeError, match="posterior family _SampleOnlyFamily has no sample_batch"):
+            run_sbc(_ToyGenerator(), _SampleOnlyFamily(), _QS, S=3, M=3, seed=0)
+        assert opened == []
 
     def test_failures_excluded_and_counted(self):
         run = run_sbc(_ToyGenerator(), _FlakyFamily(), _QS, S=60, M=5, seed=31)
@@ -286,29 +312,28 @@ class TestRunSbc:
         # ranks only from surviving simulations
         assert run.ranks("theta").size == len(run.sim_index)
 
-    @pytest.mark.parametrize("family", [_PickyBatchedFamily(), _MisshapenBatchedFamily()])
+    @pytest.mark.parametrize("family", [_PickyFamily(), _MisshapenFamily()])
     def test_batched_failures_cost_one_simulation(self, family):
         reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=40, M=9, seed=12)
         run = run_sbc(_ToyGenerator(), family, _QS, S=40, M=9, seed=12)
         bad = [i for i, data in zip(reference.sim_index.tolist(), reference.data) if data > 1.5]
         assert 0 < len(bad) < 40
         assert [i for i, _ in run.failures] == bad
-        expected_type = "KeyError" if isinstance(family, _PickyBatchedFamily) else "ValueError"
+        expected_type = "KeyError" if isinstance(family, _PickyFamily) else "ValueError"
         assert all(message.startswith(expected_type + ": ") for _, message in run.failures)
         ranks = dict(zip(reference.sim_index.tolist(), reference.rank[:, 0].tolist()))
         assert run.rank[:, 0].tolist() == [ranks[i] for i in run.sim_index.tolist()]
 
     def test_a_miscounted_group_is_sampled_one_simulation_at_a_time(self):
         reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=40, M=9, seed=12)
-        run = run_sbc(_ToyGenerator(), _ShortBatchedFamily(), _QS, S=40, M=9, seed=12)
+        run = run_sbc(_ToyGenerator(), _ShortFamily(), _QS, S=40, M=9, seed=12)
         assert run.failures == []
         assert run.sim_index.tolist() == list(range(40))
         assert run.rank.tolist() == reference.rank.tolist()
 
-    @pytest.mark.parametrize("family", [_NonNumericFamily(), _NonNumericBatchedFamily()])
-    def test_non_numeric_draws_fail_with_the_conversion_message(self, family):
+    def test_non_numeric_draws_fail_with_the_conversion_message(self):
         reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=60, M=9, seed=12)
-        run = run_sbc(_ToyGenerator(), family, _QS, S=60, M=9, seed=12)
+        run = run_sbc(_ToyGenerator(), _NonNumericFamily(), _QS, S=60, M=9, seed=12)
 
         def conversion_message(got):
             with pytest.raises(ValueError) as raised:
@@ -328,8 +353,7 @@ class TestRunSbc:
         assert run.rank[:, 0].tolist() == [ranks[i] for i in run.sim_index.tolist()]
         assert run.data == [data for data in reference.data if abs(data) <= 1.5]
 
-    @pytest.mark.parametrize("family", [_CostlyFailingFamily(), _CostlyFailingBatchedFamily()])
-    def test_peak_memory_does_not_grow_with_failures(self, family):
+    def test_peak_memory_does_not_grow_with_failures(self):
         # a failure is kept as its message where it is caught, so its traceback
         # and the sampler's working array it holds are freed there
         M = 100
@@ -337,7 +361,7 @@ class TestRunSbc:
         def failures_and_peak(S):
             tracemalloc.start()
             try:
-                run = run_sbc(_ToyGenerator(), family, _QS, S=S, M=M, seed=2)
+                run = run_sbc(_ToyGenerator(), _CostlyFailingFamily(), _QS, S=S, M=M, seed=2)
                 return run.n_failed, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -366,7 +390,7 @@ class TestRunSbc:
         assert run.n_equals.any() and not run.n_equals.all()
         for row, i in enumerate(run.sim_index.tolist()):
             theta, data = _ToyGenerator().generate(generation_stream(8, i))
-            draws = _ToyFamily().sample(data, 9, posterior_stream(8, i), 1)
+            [draws] = _ToyFamily().sample_batch([data], 9, [posterior_stream(8, i)], 1)
             tie_rng = tiebreak_stream(8, i)
             for j, q in enumerate(qs):
                 values = q.kernel(np.vstack([theta, draws])[None], [data])[0]
@@ -409,10 +433,11 @@ class TestRunSbc:
 
     def test_nan_draws_are_a_sampling_failure(self):
         class NanFamily(_ToyFamily):
-            def sample(self, data, M, rng, thin):
-                draws = super().sample(data, M, rng, thin)
-                draws[0] = np.nan if data > 1.5 else draws[0]
-                return draws
+            def sample_batch(self, datas, M, streams, thin):
+                out = super().sample_batch(datas, M, streams, thin)
+                for data, draws in zip(datas, out):
+                    draws[0] = np.nan if data > 1.5 else draws[0]
+                return out
 
         reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=60, M=9, seed=4)
         run = run_sbc(_ToyGenerator(), NanFamily(), _QS, S=60, M=9, seed=4)
@@ -536,6 +561,42 @@ class TestGroupedEvaluation:
         }
         values, errors = evaluate_quantities(draws, [1.0], quantities[:1])
         assert errors == {} and values[0, 0].tolist() == [0.3, 1.0, 2.0, 0.3]
+
+
+# every posterior family the package ships, as (generator, family, M, thin); the
+# RWM chains are short enough that some of the six fail their ESS target
+_SHIPPED_FAMILIES = [
+    *(
+        pytest.param(gaussian.GaussianGenerator(3), gaussian.make_variant(v, 3), 20, 1, id=f"gaussian-{v}")
+        for v in gaussian.VARIANT_NAMES
+    ),
+    *(
+        pytest.param(bernoulli.BernoulliGenerator(), bernoulli.FamilySampler(bernoulli.get_family(f)), 20, 1,
+                     id=f"bernoulli-{f}")
+        for f in bernoulli.FAMILY_NAMES
+    ),
+    pytest.param(simplex.SimplexGenerator(), simplex.RwmSimplexFamily("min"), 20, 5, id="simplex-min"),
+    pytest.param(simplex.SimplexGenerator(), simplex.ExactOrderedDirichletFamily(), 20, 1, id="simplex-exact"),
+]
+
+
+@pytest.mark.parametrize("generator, family, M, thin", _SHIPPED_FAMILIES)
+def test_a_shipped_family_samples_a_group_as_its_groups_of_one(generator, family, M, thin):
+    # sample_batch is the one family method; only GaussianPosterior keeps a
+    # `sample`, its group of one
+    assert isinstance(family, gaussian.GaussianPosterior) or not hasattr(family, "sample")
+    sims = [generator.generate(generation_stream(4, i)) for i in range(6)]
+    datasets = [data for _, data in sims]
+    grouped = family.sample_batch(datasets, M, [posterior_stream(4, i) for i in range(6)], thin)
+    assert len(grouped) == 6
+    assert any(isinstance(got, np.ndarray) for got in grouped)
+    for i, got in enumerate(grouped):
+        [alone] = family.sample_batch([datasets[i]], M, [posterior_stream(4, i)], thin)
+        if isinstance(got, Exception):
+            assert (type(alone), str(alone)) == (type(got), str(got))
+        else:
+            assert got.shape == (M, np.size(sims[i][0])) and got.dtype == alone.dtype == float
+            assert got.tobytes() == alone.tobytes()
 
 
 def test_every_exported_name_resolves():

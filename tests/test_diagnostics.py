@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -129,6 +130,14 @@ class TestRankSet:
         ):
             with pytest.raises(ValueError, match="M must be at least 1"):
                 call()
+
+    @pytest.mark.parametrize(
+        "ranks", [np.array([[0, 1, 2], [3, 4, 5]]), np.array(3)], ids=["2-D", "0-D"]
+    )
+    def test_ranks_that_are_not_1d_rejected(self, ranks):
+        # the statistics would read a 2-D table as its flat ranks, and a 0-D rank as one
+        with pytest.raises(ValueError, match=re.escape(f"ranks must be a 1-D array, got shape {ranks.shape}")):
+            RankSet(ranks, 5)
 
     def test_integral_ranks_of_any_dtype_accepted(self):
         for ranks in ([0, 1, 2], np.array([0.0, 1.0, 2.0]), np.array([], dtype=float)):
@@ -316,6 +325,11 @@ class TestEvolution:
         assert evolution_table({"a": ranks.astype(float)}, 50, step=20)[0].log_ratio.tolist() == (
             evolution_table({"a": ranks}, 50, step=20)[0].log_ratio.tolist()
         )
+
+    def test_ranks_that_are_not_1d_rejected(self):
+        # else a (2, 2) array would be traced as one quantity's four ranks
+        with pytest.raises(ValueError, match=r"ranks must be a 1-D array, got shape \(2, 2\)"):
+            evolution_table({"a": np.array([[1, 2], [3, 4]])}, 5)
 
     def test_prefix_pass_matches_standalone_null(self):
         # the null of prefix n is the first n calibration rows, whether it is

@@ -44,6 +44,13 @@ def test_histogram_band_is_the_binomial_quantile(n_bins, tmp_path):
     assert hi == plots._fmt(stats.binom.ppf(0.975, 37, probs))
 
 
+@pytest.mark.parametrize("n_bins", [0, -3])
+def test_fewer_than_one_bin_rejected(n_bins):
+    # one bin is a valid histogram, fewer is not
+    with pytest.raises(ValueError, match=f"n_bins must be at least 1, got {n_bins}"):
+        plots.histogram_bin_counts(RankSet(np.arange(10), 9), n_bins)
+
+
 def test_names_and_titles_are_escaped(tmp_path):
     # a quantity name or title holding XML markup must still give well-formed files
     name, title = "p&q<1", "a&b"

@@ -266,7 +266,7 @@ class TestBatchedFamily:
         fam = sx.RwmSimplexFamily("min")
         streams_a = [stream(12, i) for i in range(6)]
         all_at_once = fam.sample_batch(datas, 50, streams_a, 20)
-        one_alone = fam.sample(datas[3], 50, stream(12, 3), 20)
+        [one_alone] = fam.sample_batch([datas[3]], 50, [stream(12, 3)], 20)
         np.testing.assert_array_equal(all_at_once[3], one_alone)
 
     def test_grouping_holds_through_extensions_and_noise_blocks(self, monkeypatch):
@@ -293,18 +293,6 @@ class TestBatchedFamily:
         fam = sx.RwmSimplexFamily("softmax-fixed")
         out = fam.sample_batch(datas, 100, [stream(14, i) for i in range(24)], 20)
         assert all(isinstance(o, np.ndarray) for o in out)
-
-    def test_sample_raises_the_error_of_a_failed_chain(self, monkeypatch):
-        # sample_batch returns a failed chain's SamplerError; sample raises it
-        monkeypatch.setattr(sx, "_MIN_ESS", 1e9)
-        monkeypatch.setattr(sx, "_MAX_EXTENSIONS", 0)
-        data = sx.SimplexGenerator().generate(stream(11, 0))[1]
-        fam = sx.RwmSimplexFamily("min")
-        batched = fam.sample_batch([data], 20, [stream(12, 0)], 2)[0]
-        assert isinstance(batched, sx.SamplerError)
-        with pytest.raises(sx.SamplerError) as raised:
-            fam.sample(data, 20, stream(12, 0), 2)
-        assert str(raised.value) == str(batched) == "min ESS below 1e+09 after 0 chain extensions"
 
     def test_run_records_a_failed_chain_as_its_message(self, monkeypatch):
         # the failed chains sample_batch returns are listed under their own type
@@ -399,12 +387,24 @@ class TestGeneratorAndExactSampler:
         # oracle: rejection from the unordered Dirichlet posterior
         y = np.array([1, 2, 3, 4])
         fam = sx.ExactOrderedDirichletFamily()
-        draws = fam.sample(y, 20_000, stream(18, 0))
+        [draws] = fam.sample_batch([y], 20_000, [stream(18, 0)])
         assert np.all(np.diff(draws, axis=1) > 0.0)
         rng = stream(19, 0)
         ref = rng.dirichlet(sx.ALPHA + y, size=400_000)
         ref = ref[np.all(np.diff(ref, axis=1) > 0.0, axis=1)]
         np.testing.assert_allclose(draws.mean(axis=0), ref.mean(axis=0), rtol=0.02)
+
+
+    def test_exact_sampler_returns_the_error_of_an_improbable_dataset_in_place(self):
+        # all ten counts on the smallest component leave the ordered region
+        # too improbable; the other dataset of the group keeps its draws
+        fam = sx.ExactOrderedDirichletFamily()
+        y = np.array([1, 2, 3, 4])
+        out = fam.sample_batch([np.array([10, 0, 0, 0]), y], 20, [stream(20, 0), stream(20, 1)])
+        assert isinstance(out[0], sx.SamplerError)
+        assert str(out[0]) == "ordered region too improbable for rejection sampling"
+        [alone] = fam.sample_batch([y], 20, [stream(20, 1)])
+        assert out[1].tobytes() == alone.tobytes()
 
 
 class TestSbcSmoke:
