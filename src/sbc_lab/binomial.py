@@ -21,8 +21,8 @@ S=10^5 and M=100 that build peaks at 92 MB under tracemalloc and keeps a
 
 The build also returns :class:`TailCheckpoints`: every ``every``-th column
 of the finished table and five entries of each row around its middle, with
-the pmf terms. That is about an ``every``-th of the table: 62 kB for the 50
-built rows at S=1000, M=100 and every=8, against 0.40 MB for the table of
+the pmf terms. That is about an ``every``-th of the table: 112 kB for the 50
+built rows at S=1000, M=100 and every=4, against 0.40 MB for the table of
 those rows. The gamma diagnostic keeps one table, the current one, and
 reads it with ``take``. It keeps the checkpoints of many, and answers a
 lookup into any of those by resuming its tail for at most every - 1 terms,

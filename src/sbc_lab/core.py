@@ -234,7 +234,8 @@ def run_sbc(
     thin)``, returns per dataset its (M, dim) draws, from its stream alone, or
     the exception that failed it; a family without it raises TypeError. Groups
     sized by ``_LOCKSTEP_BYTES`` are generated and sampled by one call each,
-    or as groups of one if that call raises or miscounts. A simulation whose
+    or as groups of one if that call raises or miscounts; a group that holds
+    one simulation is already a group of one, and is sampled once. A simulation whose
     sampling fails (raised, returned or misshapen) or whose draws hold NaN is
     left out of the rank table and listed in ``failures`` with the exception
     type and message, kept as that string where the failure is caught. A
@@ -267,12 +268,13 @@ def run_sbc(
         sampled = range(lo, min(lo + chunk, S))
         out = good = priors = datasets = thetas = draws = stacked = values = None  # frees the last group
         priors, datasets = zip(*(generator.generate(generation_stream(seed, i)) for i in sampled))
-        streams = [posterior_stream(seed, i) for i in sampled]
-        with suppress(Exception):  # a group whose call raises is sampled below
-            out = [
-                _checked_draws(got, (M, dim))
-                for got in sample_batch(list(datasets), M, streams, thin_stride)
-            ]
+        if len(sampled) > 1:  # a group of one is sampled once, below
+            streams = [posterior_stream(seed, i) for i in sampled]
+            with suppress(Exception):  # a group whose call raises is sampled below
+                out = [
+                    _checked_draws(got, (M, dim))
+                    for got in sample_batch(list(datasets), M, streams, thin_stride)
+                ]
         if out is None or len(out) != len(sampled):
             # each simulation owns its stream, so a group of one isolates a
             # failure and gives the other simulations their results from the group

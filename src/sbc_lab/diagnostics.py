@@ -163,11 +163,16 @@ def _integer_ranks(given) -> np.ndarray:
     return ranks
 
 
-def _rank_counts(ranks: np.ndarray, M: int) -> np.ndarray:
-    """R[i-1, b] = #{ranks[b] < i} for i = 1..M+1, per row b of a (B, S) rank matrix."""
+def _rank_histogram(ranks: np.ndarray, M: int) -> np.ndarray:
+    """H[v, b] = #{ranks[b] == v} for v = 0..M, per row b of a (B, S) rank matrix."""
     B = ranks.shape[0]
     counts = np.bincount((ranks * B + np.arange(B)[:, None]).ravel(), minlength=(M + 1) * B)
-    return np.cumsum(counts.reshape(M + 1, B), axis=0)
+    return counts.reshape(M + 1, B)
+
+
+def _rank_counts(ranks: np.ndarray, M: int) -> np.ndarray:
+    """R[i-1, b] = #{ranks[b] < i} for i = 1..M+1, per row b of a (B, S) rank matrix."""
+    return np.cumsum(_rank_histogram(ranks, M), axis=0)
 
 
 def _z_points(M: int) -> np.ndarray:
@@ -176,17 +181,20 @@ def _z_points(M: int) -> np.ndarray:
 
 # Counts between two checkpoints of a tail: a lookup resumed from them adds
 # at most this many - 1 pmf terms, and a trace of B quantities resumes from
-# n = B * _CHECKPOINT_EVERY - 1 on (see _TailStore.least). At 8, the warm
-# evolution trace of eleven quantities at S=1000, M=100, step 10 builds 8
-# short tables and took 0.05-0.06 s, against 0.09 s at 16 (17 tables) and
-# 0.22-0.24 s for building all 100 tables.
-_CHECKPOINT_EVERY = 8
+# n = B * _CHECKPOINT_EVERY - 1 on (see _TailStore.least). At 4, the warm
+# evolution trace of eleven quantities at S=1000, M=100, step 10 builds 4
+# short tables and resumes from n = 43 on. On 2 vCPUs it took 0.018 s,
+# against 0.026 s at 8 (8 tables built, each prefix's counts taken anew). At
+# 2 the checkpoints of an S=1500 trace, about 24 MB, would not fit the store.
+_CHECKPOINT_EVERY = 4
 
 # Bytes of checkpoints kept. The 100 prefix tables of a trace at S=1000,
-# M=100 need about 3.3 MB (62 kB for the 50 built rows at S=1000), so two
-# such traces fit; a longer trace keeps its first prefixes up to the budget,
-# and none when one table's checkpoints exceed it.
-_CHECKPOINT_BYTES = 8 << 20
+# M=100 need about 5.9 MB (112 kB for the 50 built rows at S=1000), and the
+# 150 of a trace at S=1500 about 12.8 MB, so such a trace keeps all of its
+# prefixes, where 8 MiB kept the first 120. A longer trace keeps its first
+# prefixes up to the budget (172 of 200 at S=2000), and none when one
+# table's checkpoints exceed it.
+_CHECKPOINT_BYTES = 16 << 20
 
 # Rows per block of a table lookup (see _take_least): a block's counts become
 # flat indices and one ``take``. Half the rows at once would make a 2 MB
@@ -459,7 +467,9 @@ def evolution_table(
     of uniformity at 5 %. Prefix lengths run step, 2*step, ..., S with
     S always included. The quantities are stacked into one (Q, S) rank
     matrix, so each prefix is one kernel call on tables shared by all of
-    them; prefer this over per-quantity calls for wide rank tables.
+    them; prefer this over per-quantity calls for wide rank tables. Its
+    ECDF counts come from one running (M+1, Q) rank histogram, to which each
+    prefix adds only the ranks past the one before.
 
     A prefix whose null is filled by this call reads the table the fill
     built. A prefix whose null was cached reads its table's stored
@@ -486,8 +496,13 @@ def evolution_table(
         raise ValueError("ranks must lie in [0, M]")
     lengths = _prefix_lengths(S, step)
     log_ratio = np.empty((len(names), len(lengths)))
+    histogram = np.zeros((M + 1, len(names)), dtype=np.intp)
+    counted = 0
     for j, (n, log_bar) in enumerate(_prefix_nulls(lengths, M)):
-        log_ratio[:, j] = _log_gammas_for_matrix(ranks[:, :n], M) - log_bar
+        histogram += _rank_histogram(ranks[:, counted:n], M)
+        counted = n
+        least = _tails.least(np.cumsum(histogram, axis=0), n, M)
+        log_ratio[:, j] = _LOG2 + least - log_bar
     n_sims = np.asarray(lengths, dtype=int)
     return [
         EvolutionTrace(quantity=q, n_sims=n_sims, log_ratio=log_ratio[i])

@@ -360,11 +360,14 @@ def _metropolis_block(
     return keep, accepts
 
 
-def _ess_min(chain: np.ndarray) -> float:
-    """Minimum effective sample size over the columns of a (T, dim) chain."""
+def _ess_below(chain: np.ndarray, floor: float) -> bool:
+    """Whether some column of a (T, dim) chain has an effective sample size below ``floor``.
+
+    The columns are estimated in order, up to the first below the floor.
+    """
     if chain.shape[0] < 10:  # too short for ess to estimate: below the target, so extended
-        return 0.0
-    return float(min(ess(chain[:, d]).ess for d in range(chain.shape[1])))
+        return True
+    return any(ess(chain[:, d]).ess < floor for d in range(chain.shape[1]))
 
 
 def _thinned_chains(log_density_for, dim, M, thin, streams):
@@ -402,7 +405,7 @@ def _thinned_chains(log_density_for, dim, M, thin, streams):
     for b in range(B):
         if accepts[b] == 0:
             failed[b] = SamplerError("zero acceptance after warmup")
-    pending = [b for b in range(B) if b not in failed and _ess_min(chain(b)) < _MIN_ESS]
+    pending = [b for b in range(B) if b not in failed and _ess_below(chain(b), _MIN_ESS)]
     for _ in range(_MAX_EXTENSIONS):
         if not pending:
             break
@@ -415,7 +418,7 @@ def _thinned_chains(log_density_for, dim, M, thin, streams):
         state.lp[idx] = sub.lp
         for j, b in enumerate(pending):
             segments[b].append(kept[j])
-        pending = [b for b in pending if _ess_min(chain(b)) < _MIN_ESS]
+        pending = [b for b in pending if _ess_below(chain(b), _MIN_ESS)]
     for b in pending:
         failed[b] = SamplerError(
             f"min ESS below {_MIN_ESS:g} after {_MAX_EXTENSIONS} chain extensions"

@@ -229,6 +229,15 @@ class _ShortFamily(_ToyFamily):
         return out[:-1] if len(out) > 1 else out
 
 
+class _EmptyFamily(_ToyFamily):
+    """Returns no result for a group holding a dataset above 1.0."""
+
+    name = "toy-empty"
+
+    def sample_batch(self, datas, M, streams, thin):
+        return [] if max(datas) > 1.0 else super().sample_batch(datas, M, streams, thin)
+
+
 class _NonNumericFamily(_ToyFamily):
     """Returns a ragged list for large data and a string for small data."""
 
@@ -323,6 +332,34 @@ class TestRunSbc:
         assert all(message.startswith(expected_type + ": ") for _, message in run.failures)
         ranks = dict(zip(reference.sim_index.tolist(), reference.rank[:, 0].tolist()))
         assert run.rank[:, 0].tolist() == [ranks[i] for i in run.sim_index.tolist()]
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            (_FlakyFamily, "SamplerError: refused to fit"),
+            (_EmptyFamily, "ValueError: not enough values to unpack (expected 1, got 0)"),
+        ],
+    )
+    def test_a_group_of_one_simulation_is_sampled_once(self, monkeypatch, family, message):
+        # a group of one whose call raises or miscounts is recorded from that
+        # call, with the message the groups of one of a larger group record
+        calls = []
+
+        class Counting(family):
+            def sample_batch(self, datas, M, streams, thin):
+                calls.append(len(datas))
+                return super().sample_batch(datas, M, streams, thin)
+
+        grouped = run_sbc(_ToyGenerator(), Counting(), _QS, S=40, M=9, seed=3)
+        assert calls == [40] + [1] * 40
+        calls.clear()
+        monkeypatch.setattr(core, "_LOCKSTEP_BYTES", 8 * 9)  # one simulation a group
+        single = run_sbc(_ToyGenerator(), Counting(), _QS, S=40, M=9, seed=3)
+        assert calls == [1] * 40
+        assert single.n_failed == 11
+        assert {m for _, m in single.failures} == {message}
+        assert single.failures == grouped.failures
+        assert single.rank.tolist() == grouped.rank.tolist()
 
     def test_a_miscounted_group_is_sampled_one_simulation_at_a_time(self):
         reference = run_sbc(_ToyGenerator(), _ToyFamily(), _QS, S=40, M=9, seed=12)

@@ -568,13 +568,16 @@ class TestTailStore:
         assert built == [n for n in cold[0].n_sims if len(ranks) * every > n + 1]
         assert built[-1] < 400
 
-    def test_a_warm_trace_of_eleven_quantities_resumes_from_n_87(self, monkeypatch):
-        # the warm loop over seeds and variants: eleven quantities at S = 1000,
-        # M = 100, step 10, after a trace that left every table's checkpoints
-        ranks = dict(enumerate(stream(21, 0).integers(0, 101, size=(11, 1000))))
+    @pytest.mark.parametrize("S", [1000, 1500])
+    def test_a_warm_trace_of_eleven_quantities_resumes_from_n_43(self, S, monkeypatch):
+        # the warm loop over seeds and variants: eleven quantities at M = 100,
+        # step 10, after a trace that left every table's checkpoints in the
+        # default store (those of the 150 prefixes at S = 1500, about 12.8 MB)
+        ranks = dict(enumerate(stream(21, 0).integers(0, 101, size=(11, S))))
         monkeypatch.setattr(diagnostics, "_tails", _TailStore(diagnostics._CHECKPOINT_BYTES))
         cold = evolution_table(ranks, 100, step=10)
-        assert len(diagnostics._tails.checkpoints) == 100
+        lengths = list(range(10, S + 1, 10))
+        assert list(diagnostics._tails.checkpoints) == [(n, 100) for n in lengths]
         built = []
         build = diagnostics.log_binom_tail_checkpoints
         monkeypatch.setattr(
@@ -586,11 +589,11 @@ class TestTailStore:
         for a, b in zip(cold, warm):
             assert a.log_ratio.tobytes() == b.log_ratio.tobytes()
         every = diagnostics._CHECKPOINT_EVERY
-        assert built == [n for n in range(10, 1001, 10) if 11 * every > n + 1]
-        assert built == list(range(10, 81, 10))  # spacing 8: B * 8 <= n + 1 from n = 87 on
+        assert built == [n for n in lengths if 11 * every > n + 1]
+        assert built == list(range(10, 41, 10))  # spacing 4: B * 4 <= n + 1 from n = 43 on
 
     def test_a_warm_trace_over_the_budget_resumes_from_what_was_kept(self, monkeypatch):
-        # the 100 prefix tables' checkpoints, about 3.3 MB, exceed a 1 MiB store:
+        # the 100 prefix tables' checkpoints, about 5.9 MB, exceed a 1 MiB store:
         # a second trace resumes from the prefixes the first one kept, where
         # dropping the oldest rebuilt every table
         ranks = dict(enumerate(stream(22, 0).integers(0, 101, size=(11, 1000))))
@@ -653,7 +656,7 @@ class TestTailStore:
         store.current(100, 20)
         kept = store.checkpoints[(100, 20)]
         store.current(200, 20)
-        counts = stream(3, 0).integers(0, 101, size=(21, 20))  # 20 * 8 > 101: too many to resume
+        counts = stream(3, 0).integers(0, 101, size=(21, 30))  # 30 * 4 > 101: too many to resume
         counts[20] = 100  # every count matrix ends at S
         expected = whole_table(100, 20)[np.arange(21)[:, None], counts].min(axis=0)
         assert store.least(counts.copy(), 100, 20).tobytes() == expected.tobytes()

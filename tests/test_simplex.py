@@ -221,6 +221,35 @@ class TestRwmSampler:
             else:
                 assert o.shape == (M, 2)
 
+    def test_ess_below_decides_as_the_full_minimum(self, monkeypatch):
+        # random AR(1) chains, some with a constant column and some too short
+        # for ess: the check decides as the minimum over all columns would,
+        # and estimates the columns only up to the first below the floor
+        full = sx.ess
+        calls = []
+        monkeypatch.setattr(sx, "ess", lambda x: calls.append(1) or full(x))
+        rng = stream(35, 0)
+        decisions = set()
+        for T in (1, 5, 9, 10, 11, 40, 300):
+            for _ in range(20):
+                dim = int(rng.integers(1, 5))
+                rho = rng.uniform(0.0, 0.99, size=dim)
+                chain = rng.standard_normal((T, dim))
+                for t in range(1, T):
+                    chain[t] += rho * chain[t - 1]
+                if rng.uniform() < 0.2:
+                    chain[:, rng.integers(dim)] = 1.0  # degenerate: ess 0
+                floor = float(rng.uniform(0.1, 1.2 * T))
+                values = [full(chain[:, d]).ess for d in range(dim)] if T >= 10 else []
+                minimum = min(values) if values else 0.0  # too short counts as 0
+                calls.clear()
+                below = sx._ess_below(chain, floor)
+                assert below == (minimum < floor)
+                first = next((d for d, v in enumerate(values) if v < floor), len(values) - 1)
+                assert len(calls) == (first + 1 if values else 0)
+                decisions.add(below)
+        assert decisions == {True, False}
+
     def test_blocked_noise_matches_one_shot_draws(self):
         # Frozen kernel (warmup=0, identity proposal): the reference draws each
         # chain's T x dim normals and then its T uniforms in one call each, and
