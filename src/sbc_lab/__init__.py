@@ -21,7 +21,6 @@ from .diagnostics import (
     ecdf_band,
     evolution_table,
     evolution_trace,
-    gamma_null_quantile,
     gamma_result,
     gamma_statistic,
     log_gamma_statistic,
@@ -45,7 +44,6 @@ __all__ = [
     "ChiSquareResult",
     "gamma_statistic",
     "log_gamma_statistic",
-    "gamma_null_quantile",
     "gamma_result",
     "evolution_table",
     "evolution_trace",

@@ -49,7 +49,6 @@ __all__ = [
     "ChiSquareResult",
     "gamma_statistic",
     "log_gamma_statistic",
-    "gamma_null_quantile",
     "log_gamma_null_quantile_cached",
     "gamma_result",
     "evolution_table",
@@ -317,31 +316,6 @@ def gamma_statistic(rank_set: RankSet) -> float:
     to 0.0 in extreme cases; use :func:`log_gamma_statistic` then.
     """
     return float(np.exp(log_gamma_statistic(rank_set)))
-
-
-def _check_null_args(level: float, n_mc: int) -> None:
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
-    if n_mc < 1000:
-        raise ValueError("n_mc must be at least 1000")
-
-
-def gamma_null_quantile(
-    S: int, M: int, level: float, n_mc: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo quantile of gamma under uniform ranks, deterministic given rng.
-
-    An estimator independent of the cached threshold, which is fixed at
-    level 0.05 and 5 000 replicates: it keeps ``level`` and ``n_mc`` so that
-    the cache can be checked against fresh draws of any size.
-    """
-    _check_null_args(level, n_mc)
-    if S < 1:
-        raise ValueError("S must be at least 1")
-    _check_max_rank(M)
-    ranks = rng.integers(0, M + 1, size=(n_mc, S))
-    log_gammas = _log_gammas_for_matrix(ranks, M)
-    return float(np.exp(np.quantile(log_gammas, level)))
 
 
 # Sorted null log gammas per (S, M), and their _LEVEL quantile log gamma_bar,

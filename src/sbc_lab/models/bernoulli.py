@@ -38,7 +38,6 @@ __all__ = [
     "BernoulliGenerator",
     "FamilySampler",
     "quantity_library",
-    "sample_rank_cdf_prediction",
 ]
 
 
@@ -50,10 +49,6 @@ _PROBE_SIZE = 4096
 
 # Largest sup-norm residual of a discrete family counted as passing SBC.
 _SCAN_THRESHOLD = 1e-6
-
-# Gauss-Legendre nodes of the sample rank CDF prediction.
-_N_NODES = 2048
-
 
 class RadicandConditionError(ValueError):
     """The chosen quantile function drives the companion radicand negative."""
@@ -419,26 +414,3 @@ def write_q_curve_csv(
         fh.write("x,q0,q1,avg\n")
         for xi, a, b in zip(x, q0, q1):
             fh.write(f"{float(xi)!r},{float(a)!r},{float(b)!r},{float(0.5 * (a + b))!r}\n")
-
-
-def sample_rank_cdf_prediction(family: QuantileFamily, M: int) -> np.ndarray:
-    """Predicted CDF of the M-draw rank of theta under this family.
-
-    Conditional on y the prior draw sits at true-posterior quantile t, and
-    the count of family draws below it is Binomial(M, Phi(F^-1(t | y) | y)).
-    Averaging the binomial CDF over t (Gauss-Legendre) and over the two
-    equally likely observations gives P(rank <= i) for i = 0..M.
-    """
-    # imported here: scipy.stats costs about a second to import, and only
-    # this prediction, which the run path never calls, uses it
-    from scipy import stats
-
-    nodes, weights = np.polynomial.legendre.leggauss(_N_NODES)
-    t = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    out = np.zeros(M + 1)
-    for y in (0, 1):
-        p = family.cdf_at(CORRECT.quantile(t, y), y)
-        cdf = stats.binom.cdf(np.arange(M + 1)[:, None], M, p[None, :])
-        out += 0.5 * (cdf * w[None, :]).sum(axis=1)
-    return out

@@ -55,8 +55,11 @@ class GaussianGenerator:
             raise ValueError(f"n must be at least 1, got {self.n}")
 
     def generate(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        mu = _CHOL @ rng.standard_normal(2)
-        y = mu[None, :] + rng.standard_normal((self.n, 2)) @ _CHOL.T
+        # one call for the prior's 2 normals and the data's 2n: the values and
+        # the stream state of one call for each
+        z = rng.standard_normal(2 * (self.n + 1))
+        mu = _CHOL @ z[:2]
+        y = mu[None, :] + z[2:].reshape(self.n, 2) @ _CHOL.T
         return mu, y
 
 
@@ -155,12 +158,13 @@ class GaussianPosterior:
         """Log density at each draw, elementwise over the leading axes: (N, 2)
         draws of one (n, 2) dataset give (N,), (g, N, 2) draws of (g, n, 2)
         data give (g, N)."""
-        diff = draws - self._mean(y)[..., None, :]
+        mean = self._mean(y)[..., None, :]
+        d0 = draws[..., 0] - mean[..., 0]
+        d1 = draws[..., 1] - mean[..., 1]
         if self.name == "independent-marginals":
-            return -_LOG2PI - np.log(self.scale) - 0.5 * (diff**2).sum(axis=-1) / self.scale
-        quad = _quadratic_form(diff.reshape(-1, 2)) / self.scale
-        out = -_LOG2PI - 0.5 * (_LOGDET + 2.0 * np.log(self.scale)) - 0.5 * quad
-        return out.reshape(diff.shape[:-1])
+            return -_LOG2PI - np.log(self.scale) - 0.5 * (d0**2 + d1**2) / self.scale
+        quad = _quadratic_form(d0, d1) / self.scale
+        return -_LOG2PI - 0.5 * (_LOGDET + 2.0 * np.log(self.scale)) - 0.5 * quad
 
 
 make_variant = GaussianPosterior
@@ -172,28 +176,41 @@ def grand_mean_positive(y: np.ndarray) -> bool:
 
 
 def _log_lik(draws: np.ndarray, ys) -> np.ndarray:
-    """MVN log likelihood of all points of each dataset at each draw of its row."""
-    y = np.stack(ys)
-    diff = (y[:, None, :, :] - draws[:, :, None, :]).reshape(-1, 2)
-    quad = _quadratic_form(diff).reshape(-1, y.shape[1])
-    out = y.shape[1] * (-_LOG2PI - 0.5 * _LOGDET) - 0.5 * quad.sum(axis=1)
-    return out.reshape(draws.shape[:2])
+    """MVN log likelihood of all points of each dataset at each draw of its row.
 
-
-def _quadratic_form(rows: np.ndarray) -> np.ndarray:
-    """rows[n] @ _SIGMA_INV @ rows[n] for each row of an (N, 2) array.
-
-    The terms rows[n, i] * _SIGMA_INV[i, j] * rows[n, j] are added to zero
-    in the order (0, 0), (0, 1), (1, 0), (1, 1), elementwise, so a row's
-    value does not depend on the rows it is computed with, and a group
-    kernel meets the contract of :class:`~sbc_lab.core.TestQuantity`.
-    From three rows on this is ``einsum("ni,ij,nj->n")``'s order and bits,
-    in less than half its time.
+    Point k's form over the (g, N) draws goes to ``form[..., k]``, and one
+    ``sum`` over the contiguous last axis adds each draw's n forms in numpy's
+    order for n terms (not in sequence from 8 on), whatever g and N.
     """
-    quad = np.zeros(len(rows))
-    for i in range(2):
-        for j in range(2):
-            quad += rows[:, i] * _SIGMA_INV[i, j] * rows[:, j]
+    y = np.stack(ys)
+    g, N = draws.shape[:2]
+    x0, x1 = draws[..., 0].copy(), draws[..., 1].copy()
+    form = np.empty((g, N, y.shape[1]))
+    for k in range(y.shape[1]):
+        form[..., k] = _quadratic_form(y[:, k, 0, None] - x0, y[:, k, 1, None] - x1)
+    return y.shape[1] * (-_LOG2PI - 0.5 * _LOGDET) - 0.5 * form.sum(axis=-1)
+
+
+def _quadratic_form(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """(d0, d1) @ _SIGMA_INV @ (d0, d1), elementwise over two component planes.
+
+    The terms d_i * _SIGMA_INV[i, j] * d_j are added in the order (0, 0),
+    (0, 1), (1, 0), (1, 1), elementwise, so a value does not depend on the
+    values it is computed with, and a group kernel meets the contract of
+    :class:`~sbc_lab.core.TestQuantity`. The first term is >= +0 (or NaN),
+    so it starts the sum with the bits that adding it to zero gives. On the
+    (N, 2) rows of the same differences this is ``einsum("ni,ij,nj->n")``'s
+    order and bits from three rows on; contiguous planes take about half the
+    time of the rows' strided columns.
+    """
+    d = (d0, d1)
+    quad = d0 * _SIGMA_INV[0, 0]
+    quad *= d0
+    term = np.empty_like(quad)
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        np.multiply(d[i], _SIGMA_INV[i, j], out=term)
+        term *= d[j]
+        quad += term
     return quad
 
 

@@ -14,7 +14,6 @@ from sbc_lab.diagnostics import (
     RankSet,
     chi_square_uniformity,
     evolution_table,
-    gamma_null_quantile,
     gamma_result,
     gamma_statistic,
     log_gamma_statistic,
@@ -23,7 +22,8 @@ from sbc_lab.diagnostics import (
 from sbc_lab.models import bernoulli as bm
 from sbc_lab.models import gaussian, simplex
 from sbc_lab.rng import stream
-from test_diagnostics import brute_force_gamma
+from test_bernoulli import sample_rank_cdf_prediction
+from test_diagnostics import brute_force_gamma, gamma_null_quantile
 
 SEEDS20 = [1000 + k for k in range(20)]
 SEEDS10 = [500 + k for k in range(10)]
@@ -356,7 +356,7 @@ def test_c10_sample_continuous_bridge():
     quantities = [q for q in bm.quantity_library() if q.name == "theta"]
     run = run_sbc(bm.BernoulliGenerator(), family, quantities, S=S, M=M_small, seed=2718)
     ranks = run.ranks("theta")
-    predicted = bm.sample_rank_cdf_prediction(bm.PHI_C, M_small)
+    predicted = sample_rank_cdf_prediction(bm.PHI_C, M_small)
     worst_sigma = 0.0
     for i in range(M_small):
         empirical = float(np.mean(ranks <= i))

@@ -2,12 +2,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from sbc_lab.models import bernoulli as bm
 from sbc_lab.rng import stream
 
 
 GRID = (np.arange(512) + 0.5) / 512
+
+
+def sample_rank_cdf_prediction(family, M):
+    """Predicted CDF of the M-draw rank of theta under this family.
+
+    Conditional on y the prior draw sits at true-posterior quantile t, and
+    the count of family draws below it is Binomial(M, Phi(F^-1(t | y) | y)).
+    Averaging the binomial CDF over t (Gauss-Legendre) and over the two
+    equally likely observations gives P(rank <= i) for i = 0..M.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(2048)
+    t = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
+    out = np.zeros(M + 1)
+    for y in (0, 1):
+        p = family.cdf_at(bm.CORRECT.quantile(t, y), y)
+        cdf = stats.binom.cdf(np.arange(M + 1)[:, None], M, p[None, :])
+        out += 0.5 * (cdf * w[None, :]).sum(axis=1)
+    return out
 
 
 class TestFamilies:
@@ -30,8 +50,6 @@ class TestFamilies:
     def test_sampling_matches_cdf(self):
         fam = bm.get_family("correct")
         draws = fam.sample(0, 100_000, stream(1, 0))
-        from scipy import stats
-
         assert stats.kstest(draws, lambda s: fam.cdf_at(s, 0)).pvalue > 1e-3
 
     def test_unknown_family_rejected(self):
@@ -254,9 +272,9 @@ class TestQuantityLibrary:
 
 class TestSamplePrediction:
     def test_correct_family_prediction_is_uniform(self):
-        pred = bm.sample_rank_cdf_prediction(bm.CORRECT, M=10)
+        pred = sample_rank_cdf_prediction(bm.CORRECT, M=10)
         np.testing.assert_allclose(pred, (np.arange(11) + 1) / 11.0, atol=1e-6)
 
     def test_phi_c_prediction_deviates_from_uniform(self):
-        pred = bm.sample_rank_cdf_prediction(bm.PHI_C, M=10)
+        pred = sample_rank_cdf_prediction(bm.PHI_C, M=10)
         assert np.max(np.abs(pred - (np.arange(11) + 1) / 11.0)) > 0.01

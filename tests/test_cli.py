@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -470,6 +471,16 @@ def test_import_leaves_scipy_stats_unloaded():
     src = str(Path(sbc_lab.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr or "scipy.stats was imported"
+    # nor does any module import it inside a function, where only a call would load it
+    for path in sorted(Path(sbc_lab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(re.match(r"scipy\.stats\b", name) for name in names), path.name
 
 
 class TestOtherCommands:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from importlib import import_module
 from pkgutil import walk_packages
@@ -483,6 +484,58 @@ class TestRunSbc:
         assert run.failures == [(i, "SamplerError: family returned NaN in 1 of 9 draws") for i in bad]
         ranks = dict(zip(reference.sim_index.tolist(), reference.rank[:, 0].tolist()))
         assert run.rank[:, 0].tolist() == [ranks[i] for i in run.sim_index.tolist()]
+
+    @pytest.mark.parametrize("flaw", ["none", "nan", "shape"])
+    @pytest.mark.parametrize("groups_of", [7, 80])
+    def test_one_array_and_a_list_of_draws_give_the_same_run(self, monkeypatch, flaw, groups_of):
+        # a family may return its group's (M, 2) draws as one (g, M, 2) array,
+        # which is checked whole, or as a list, checked draws by draws: the same
+        # draws give the same ranks, failures and quantity errors either way
+        class Generator:
+            def generate(self, rng):
+                theta, data = _ToyGenerator().generate(rng)
+                return np.repeat(theta, 2), data
+
+        class ListFamily(_ToyFamily):
+            def sample_batch(self, datas, M, streams, thin):
+                out = [np.repeat(draws, 2, axis=1) for draws in super().sample_batch(datas, M, streams, thin)]
+                if flaw == "shape":
+                    return [draws[:-1] for draws in out]
+                for data, draws in zip(datas, out):
+                    if flaw == "nan" and data > 1.0:
+                        # the first k draws wholly NaN, and one component of the next
+                        k = min(8, int(4 * (data - 1.0)))
+                        draws[:k] = np.nan
+                        draws[k, 1] = np.nan
+                return out
+
+        class ArrayFamily(ListFamily):
+            def sample_batch(self, datas, M, streams, thin):
+                return np.stack(super().sample_batch(datas, M, streams, thin))
+
+        def low(draws, datasets):
+            return np.round(draws[..., 0], 1) + np.where(np.less(datasets, -1.0), np.nan, 0.0)[:, None]
+
+        monkeypatch.setattr(core, "_LOCKSTEP_BYTES", 8 * 9 * 2 * groups_of)
+        quantities = [*_QS, Quantity("low", low)]
+        listed, stacked = (
+            run_sbc(Generator(), family, quantities, S=80, M=9, seed=8)
+            for family in (ListFamily(), ArrayFamily())
+        )
+        for field in ("sim_index", "n_less", "n_equals", "rank", "evaluated"):
+            assert getattr(stacked, field).tobytes() == getattr(listed, field).tobytes(), field
+        assert (stacked.failures, stacked.quantity_errors) == (listed.failures, listed.quantity_errors)
+        assert stacked.quantity_errors or flaw == "shape"
+        if flaw == "none":
+            assert stacked.failures == []
+        elif flaw == "nan":
+            messages = {message for _, message in stacked.failures}
+            assert 0 < stacked.n_failed < 80 and len(messages) > 2
+            assert all(re.fullmatch(r"SamplerError: family returned NaN in \d of 9 draws", m) for m in messages)
+        else:
+            assert stacked.failures == [
+                (i, "ValueError: family returned draws of shape (8, 2), expected (9, 2)") for i in range(80)
+            ]
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):

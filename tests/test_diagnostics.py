@@ -19,6 +19,8 @@ from sbc_lab.diagnostics import (
     _TAKE_ROWS,
     NULL_CALIBRATION_SEED,
     RankSet,
+    _check_max_rank,
+    _log_gammas_for_matrix,
     _null_cache,
     _null_rows,
     _rank_counts,
@@ -30,7 +32,6 @@ from sbc_lab.diagnostics import (
     ecdf_band,
     evolution_table,
     evolution_trace,
-    gamma_null_quantile,
     gamma_result,
     gamma_statistic,
     log_gamma_null_quantile_cached,
@@ -54,6 +55,31 @@ def brute_force_gamma(ranks, M):
         upper = terms[R:].sum()  # P(X >= R) = 1 - Bin(R - 1)
         best = min(best, cdf, upper)
     return 2.0 * best
+
+
+def _check_null_args(level: float, n_mc: int) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly between 0 and 1")
+    if n_mc < 1000:
+        raise ValueError("n_mc must be at least 1000")
+
+
+def gamma_null_quantile(
+    S: int, M: int, level: float, n_mc: int, rng: np.random.Generator
+) -> float:
+    """Monte-Carlo quantile of gamma under uniform ranks, deterministic given rng.
+
+    An estimator independent of the cached threshold, which is fixed at
+    level 0.05 and 5 000 replicates: it keeps ``level`` and ``n_mc`` so that
+    the cache can be checked against fresh draws of any size (c11 among them).
+    """
+    _check_null_args(level, n_mc)
+    if S < 1:
+        raise ValueError("S must be at least 1")
+    _check_max_rank(M)
+    ranks = rng.integers(0, M + 1, size=(n_mc, S))
+    log_gammas = _log_gammas_for_matrix(ranks, M)
+    return float(np.exp(np.quantile(log_gammas, level)))
 
 
 def whole_table(S, M):

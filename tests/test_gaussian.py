@@ -34,6 +34,18 @@ class TestGenerator:
         observed = np.cov(ybars.T)
         np.testing.assert_allclose(observed, expected, rtol=0.03)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+    def test_one_draw_of_normals_equals_the_prior_then_the_data(self, n):
+        # generate takes its 2(n + 1) normals in one call: the values, and the
+        # stream state, of one call for the prior and one for the data
+        rng, reference = stream(14, n), stream(14, n)
+        for _ in range(50):
+            mu, y = gaussian.GaussianGenerator(n).generate(rng)
+            mu_ref = gaussian._CHOL @ reference.standard_normal(2)
+            y_ref = mu_ref[None, :] + reference.standard_normal((n, 2)) @ gaussian._CHOL.T
+            assert (mu.tobytes(), y.tobytes()) == (mu_ref.tobytes(), y_ref.tobytes())
+        assert rng.standard_normal(3).tobytes() == reference.standard_normal(3).tobytes()
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_no_data_points_rejected(self, n, tmp_path, capsys):
         with pytest.raises(ValueError, match="n must be at least 1"):
@@ -227,41 +239,107 @@ class TestVariantSamplers:
             gaussian.make_variant(variant, n=n)
 
 
+def row_quadratic_form(rows):
+    """rows[n] @ _SIGMA_INV @ rows[n] of an (N, 2) array, term by term in the
+    order (0, 0), (0, 1), (1, 0), (1, 1) on the rows' strided columns: the
+    row layout the plane kernels replaced, kept as their oracle."""
+    quad = np.zeros(len(rows))
+    for i in range(2):
+        for j in range(2):
+            quad += rows[:, i] * gaussian._SIGMA_INV[i, j] * rows[:, j]
+    return quad
+
+
+def row_log_lik(draws, ys):
+    """``_log_lik`` on an (g * N * n, 2) array of differences, one row per draw and point."""
+    y = np.stack(ys)
+    diff = (y[:, None, :, :] - draws[:, :, None, :]).reshape(-1, 2)
+    quad = row_quadratic_form(diff).reshape(-1, y.shape[1])
+    out = y.shape[1] * (-gaussian._LOG2PI - 0.5 * gaussian._LOGDET) - 0.5 * quad.sum(axis=1)
+    return out.reshape(draws.shape[:2])
+
+
+def row_log_density(family, draws, y):
+    """``family.log_density`` on the (..., 2) differences of the draws from the mean."""
+    diff = draws - family._mean(y)[..., None, :]
+    if family.name == "independent-marginals":
+        return -gaussian._LOG2PI - np.log(family.scale) - 0.5 * (diff**2).sum(axis=-1) / family.scale
+    quad = row_quadratic_form(diff.reshape(-1, 2)) / family.scale
+    out = -gaussian._LOG2PI - 0.5 * (gaussian._LOGDET + 2.0 * np.log(family.scale)) - 0.5 * quad
+    return out.reshape(diff.shape[:-1])
+
+
+DENSITY_VARIANTS = [v for v in gaussian.VARIANT_NAMES if gaussian.make_variant(v, 3).log_density is not None]
+
+
+class TestPlaneKernels:
+    @pytest.mark.parametrize("g", [1, 2, 199])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 13])
+    def test_equal_the_row_layout_bit_for_bit(self, n, g):
+        # from n = 8 on numpy adds a draw's n forms pairwise, not in sequence:
+        # the (g, N, n) forms are reduced as the (g * N, n) rows were
+        rng = stream(31, 100 * n + g)
+        draws = rng.standard_normal((g, 101, 2)) * 10.0 ** rng.uniform(-3, 3, size=(g, 1, 1))
+        ys = rng.standard_normal((g, n, 2))
+        # exact zeros of both signs among draws and data, and differences of exactly zero
+        for a in (draws, ys):
+            a[rng.random(a.shape) < 0.1] = 0.0
+            a[rng.random(a.shape) < 0.1] = -0.0
+        draws[:, -1] = ys[:, 0]
+        assert gaussian._log_lik(draws, list(ys)).tobytes() == row_log_lik(draws, list(ys)).tobytes()
+        quantities = {q.name: q.kernel for q in gaussian.quantity_library(n)}
+        for k in range(min(n, 2)):
+            expected = row_log_lik(draws, [y[k : k + 1] for y in ys])
+            assert quantities[f"mvn_log_lik[{k + 1}]"](draws, list(ys)).tobytes() == expected.tobytes()
+        correct = gaussian.make_variant("correct", n)
+        for variant in DENSITY_VARIANTS:
+            family = gaussian.make_variant(variant, n)
+            for d, y in ((draws, ys), (draws[0], ys[0])):  # a group, and one (N, 2) simulation
+                assert family.log_density(d, y).tobytes() == row_log_density(family, d, y).tobytes(), variant
+            ratio = {q.name: q.kernel for q in gaussian.quantity_library(n, family)}["density_ratio"]
+            with np.errstate(over="ignore"):  # draws far out in the tails give a ratio of inf
+                expected = np.exp(row_log_density(correct, draws, ys) - row_log_density(family, draws, ys))
+                assert ratio(draws, list(ys)).tobytes() == expected.tobytes(), variant
+
+
 class TestQuadraticForm:
     @given(
         N=st.integers(min_value=1, max_value=5000),
         log_scale=st.floats(min_value=-3.0, max_value=3.0),
         zero=st.sampled_from([0.0, -0.0]),
-        layout=st.sampled_from(["draws", "data", "density"]),
+        layout=st.sampled_from(["draws", "simulations", "density"]),
         key=st.integers(min_value=0, max_value=2**32),
     )
     @example(N=1, log_scale=0.0, zero=-0.0, layout="draws", key=0)
-    @example(N=2, log_scale=0.0, zero=-0.0, layout="data", key=0)
+    @example(N=2, log_scale=0.0, zero=-0.0, layout="simulations", key=0)
     @example(N=3, log_scale=0.0, zero=-0.0, layout="density", key=0)
     @settings(max_examples=200, deadline=None)
     def test_equals_einsum_bit_for_bit(self, N, log_scale, zero, layout, key):
-        # rows of N differences, a tenth of their entries exact zeros of one sign,
-        # laid out as _log_lik (N draws of one point, or one draw of N points)
-        # or log_density (N draws of one dataset) lays them out; einsum orders
-        # the terms otherwise below three rows, so it is the oracle from three on
+        # N differences, a tenth of their components exact zeros of one sign,
+        # in the planes the kernels form: _log_lik's (1, N) for one point and N
+        # draws or (N, 1) for one draw in each of N simulations, and
+        # log_density's (N,) for N draws of one dataset. einsum orders the terms
+        # otherwise below three rows, so it is the oracle from three on
         rng = stream(key, N)
         values = rng.standard_normal((N, 2)) * 10.0**log_scale
         values[rng.random((N, 2)) < 0.1] = zero
         if layout == "draws":
-            diff = np.zeros((1, 1, 2))[:, None, :, :] - values[None, :, None, :]
-        elif layout == "data":
-            diff = values[None, :, :][:, None, :, :] - np.zeros((1, 1, 2))[:, :, None, :]
+            d0, d1 = (np.zeros((1, 1)) - values[None, :, i] for i in range(2))
+        elif layout == "simulations":
+            d0, d1 = (values[:, i, None] - np.zeros((N, 1)) for i in range(2))
         else:
-            diff = values - np.zeros(2)[None, :]
-        rows = diff.reshape(-1, 2)
-        quad = gaussian._quadratic_form(rows)
+            d0, d1 = (values[:, i] - np.zeros(2)[None, i] for i in range(2))
+        quad = gaussian._quadratic_form(d0, d1).ravel()
+        rows = np.stack([d0.ravel(), d1.ravel()], axis=1)
+        assert quad.tobytes() == row_quadratic_form(rows).tobytes()
         if N >= 3:
             expected = np.einsum("ni,ij,nj->n", rows, gaussian._SIGMA_INV, rows)
             assert quad.tobytes() == expected.tobytes()
-        # a row taken alone has the bits it has among all N: every row up to
+        # a value taken alone has the bits it has among all N: every one up to
         # N = 3, and the first three, the middle and the last beyond
         for n in {min(n, N - 1) for n in (0, 1, 2, N // 2, N - 1)}:
-            assert gaussian._quadratic_form(rows[n : n + 1]).tobytes() == quad[n : n + 1].tobytes()
+            alone = gaussian._quadratic_form(d0.ravel()[n : n + 1], d1.ravel()[n : n + 1])
+            assert alone.tobytes() == quad[n : n + 1].tobytes()
 
 
 class TestQuantities:
