@@ -215,22 +215,6 @@ def _checked_draws(got: Any, shape: tuple[int, int]) -> np.ndarray | str:
     return post
 
 
-def _checked_group(got: Any, shape: tuple[int, int, int]) -> list[np.ndarray | str]:
-    """A sampled group's results, each checked as by :func:`_checked_draws`.
-
-    A (g, M, dim) float64 array, the Gaussian family's return, is checked
-    whole: one pass finds the simulations with NaN draws, and the others get
-    their rows as views. Anything else is checked one result at a time.
-    """
-    if not (isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == shape):
-        return [_checked_draws(draws, shape[1:]) for draws in got]
-    nan_draws = np.count_nonzero(np.isnan(got).any(axis=2), axis=1)
-    return [
-        f"SamplerError: family returned NaN in {count} of {shape[1]} draws" if count else draws
-        for draws, count in zip(got, nan_draws.tolist())
-    ]
-
-
 def run_sbc(
     generator: Any,
     posterior_family: Any,
@@ -282,13 +266,15 @@ def run_sbc(
     blocks = [(empty, empty, empty, empty.astype(bool))]  # (n_less, n_equals, rank, evaluated)
     for lo in range(0, S, chunk):
         sampled = range(lo, min(lo + chunk, S))
-        out = got = good = priors = datasets = thetas = draws = stacked = values = None  # frees the last group
+        out = good = priors = datasets = thetas = draws = stacked = values = None  # frees the last group
         priors, datasets = zip(*(generator.generate(generation_stream(seed, i)) for i in sampled))
         if len(sampled) > 1:  # a group of one is sampled once, below
             streams = [posterior_stream(seed, i) for i in sampled]
             with suppress(Exception):  # a group whose call raises is sampled below
-                got = sample_batch(list(datasets), M, streams, thin_stride)
-                out = _checked_group(got, (len(sampled), M, dim))
+                out = [
+                    _checked_draws(got, (M, dim))
+                    for got in sample_batch(list(datasets), M, streams, thin_stride)
+                ]
         if out is None or len(out) != len(sampled):
             # each simulation owns its stream, so a group of one isolates a
             # failure and gives the other simulations their results from the group

@@ -488,9 +488,9 @@ class TestRunSbc:
     @pytest.mark.parametrize("flaw", ["none", "nan", "shape"])
     @pytest.mark.parametrize("groups_of", [7, 80])
     def test_one_array_and_a_list_of_draws_give_the_same_run(self, monkeypatch, flaw, groups_of):
-        # a family may return its group's (M, 2) draws as one (g, M, 2) array,
-        # which is checked whole, or as a list, checked draws by draws: the same
-        # draws give the same ranks, failures and quantity errors either way
+        # a family may return its group's (M, 2) draws as one (g, M, 2) array
+        # or as a list: the same draws give the same ranks, failures and
+        # quantity errors either way
         class Generator:
             def generate(self, rng):
                 theta, data = _ToyGenerator().generate(rng)

@@ -34,18 +34,6 @@ class TestGenerator:
         observed = np.cov(ybars.T)
         np.testing.assert_allclose(observed, expected, rtol=0.03)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
-    def test_one_draw_of_normals_equals_the_prior_then_the_data(self, n):
-        # generate takes its 2(n + 1) normals in one call: the values, and the
-        # stream state, of one call for the prior and one for the data
-        rng, reference = stream(14, n), stream(14, n)
-        for _ in range(50):
-            mu, y = gaussian.GaussianGenerator(n).generate(rng)
-            mu_ref = gaussian._CHOL @ reference.standard_normal(2)
-            y_ref = mu_ref[None, :] + reference.standard_normal((n, 2)) @ gaussian._CHOL.T
-            assert (mu.tobytes(), y.tobytes()) == (mu_ref.tobytes(), y_ref.tobytes())
-        assert rng.standard_normal(3).tobytes() == reference.standard_normal(3).tobytes()
-
     @pytest.mark.parametrize("n", [0, -2])
     def test_no_data_points_rejected(self, n, tmp_path, capsys):
         with pytest.raises(ValueError, match="n must be at least 1"):
