@@ -121,9 +121,11 @@ def compute_rank(
     evaluated there) counts 0 and draws no share; a cell with NaN in only
     some of its values raises :class:`InvalidQuantityError`. Simulation r's
     tie shares come from one ``tie_rng(r).integers(0, n_equals + 1)`` call
-    over its evaluated quantities, which gives the values and the stream
-    state of one scalar call per quantity in order; ``tie_rng`` is called
-    only for a simulation with a tie, as a range of one value draws nothing.
+    over all its quantities. A cell with no tie, an all-NaN one included,
+    has a range of one value, which draws nothing and adds 0, so the call
+    gives the values and the stream state of one scalar call per tied
+    quantity in order; ``tie_rng`` is called only for a simulation with a
+    tie.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[2] < 2:
@@ -138,8 +140,7 @@ def compute_rank(
     n_equals = np.count_nonzero(values[:, :, 1:] == prior, axis=2)
     rank = n_less.copy()
     for r in np.flatnonzero(n_equals.any(axis=1)):
-        evaluated = nan[r] == 0
-        rank[r, evaluated] += tie_rng(r).integers(0, n_equals[r, evaluated] + 1)
+        rank[r] += tie_rng(r).integers(0, n_equals[r] + 1)
     return n_less, n_equals, rank
 
 

@@ -10,9 +10,9 @@ There is one prefix-consistent calibration draw per M, at 5 000 draws: the
 null for S simulations is its first S rows, so one pass down the draw, a
 block of rows at a time, fills the null of every prefix of an evolution
 trace, with its threshold. The pass holds one (M+1) x 5 000 int32 matrix of
-rank counts, and reads the table in blocks of points: a block's running
-sums are its counts, looked up and folded into each replicate's least
-entry before the next block is summed.
+rank counts, and reads the table a point at a time: one running int32 row
+of counts per half of the grid is that point's counts, read from its table
+row with one ``take`` and folded into each replicate's least entry.
 All gamma arithmetic happens in log space through one kernel: one table of
 binomial tail minima per (S, M) (see :mod:`sbc_lab.binomial`) indexed by rank
 counts, read with ``take`` or resumed bit for bit from its stored tail
@@ -195,18 +195,11 @@ _CHECKPOINT_EVERY = 4
 # table's checkpoints exceed it.
 _CHECKPOINT_BYTES = 16 << 20
 
-# Rows per block of a table lookup (see _take_least): a block's counts become
-# flat indices and one ``take``. Half the rows at once would make a 2 MB
-# temporary at M=100 and B = _N_MC = 5000; eight rows make 320 kB, in the
-# same time. The null pass also forms its running sums one block at a time,
-# so it holds no (M+1, _N_MC) matrix of ECDF counts.
-_TAKE_ROWS = 8
-
 
 class _TailStore:
     """The current tail-minima table, and the tail checkpoints of the tables that fit.
 
-    The table last built is current and is read with ``take``. Each build
+    The table last built is current and is read directly. Each build
     leaves its :class:`~sbc_lab.binomial.TailCheckpoints` in ``checkpoints``
     if they fit in what is left of ``budget`` bytes; a table that is no
     longer current is then read by resuming its tails from them, bit for
@@ -248,44 +241,44 @@ class _TailStore:
         its suffix count #{ranks >= M+1-i}. The z = 1 point is not read: its
         count R[M] is S, where its entry is 0, and every table entry is below 0.
 
-        The current table is read with ``take``, in point blocks (see
-        :func:`_take_least`). Otherwise the stored checkpoints serve when the
-        columns are few: a lookup resumes one tail for up to
-        _CHECKPOINT_EVERY terms, about the work of that many table entries,
-        so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider R builds the
-        table. R is left as it is. The null pass does not come here: it
-        reads its table through :func:`_take_least` directly.
+        Both halves read rows 0, 1, ... in turn, so their M rows of counts
+        are one gather: of the current table, or, when the columns are few,
+        of entries resumed from the stored checkpoints. A lookup resumes one
+        tail for up to _CHECKPOINT_EVERY terms, about the work of that many
+        table entries, so B * _CHECKPOINT_EVERY <= S + 1 resumes and a wider
+        R builds the table. The gather's (M, B) entries are few for its
+        callers, the columns of one run's quantities; the null pass, with
+        _N_MC columns, reads its table a row at a time through
+        :func:`_null_least`. R is left as it is.
         """
         key = (S, M)
         half = (M + 1) // 2
-        lower, upper = R[:half], S - R[M - 1 : half - 1 : -1]
+        counts = np.concatenate([R[:half], S - R[M - 1 : half - 1 : -1]])
+        rows = np.arange(M) % half
         kept = self.checkpoints.get(key)
         if self.key != key and kept is not None and R.shape[1] * _CHECKPOINT_EVERY <= S + 1:
-            # one call for both halves, which read rows 0, 1, ... each
-            return kept.entries(np.concatenate([lower, upper]), np.arange(M) % half).min(axis=0)
-        halves = [
-            [h[i : i + _TAKE_ROWS] for i in range(0, len(h), _TAKE_ROWS)] for h in (lower, upper)
-        ]
-        return _take_least(self.current(S, M), halves, R.shape[1])
+            return kept.entries(counts, rows).min(axis=0)
+        return self.current(S, M)[rows[:, None], counts].min(axis=0)
 
 
-def _take_least(table: np.ndarray, halves, width: int) -> np.ndarray:
-    """The least table entry that the counts of both halves read, per column.
+def _null_least(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The least table entry over the points, per column of an (M+1, B) rank-count matrix.
 
-    ``halves`` holds two iterables of (rows, width) count blocks: the counts
-    at the points z_i <= 1/2 and the suffix counts at their mirrors, each
-    in row order from table row 0, up to _TAKE_ROWS rows at a time. Each
-    block is turned into intp flat indices of the table, so its entries are
-    one ``take``, whatever the dtype of the counts.
+    ``counts[v, b]`` is the number of ranks v in replicate b. One running
+    total per half of the grid gives each point its counts without an
+    (M+1, B) matrix of them: summed up from rank 0 it is the ECDF count
+    that z_i <= 1/2 reads from table row i - 1, and summed down from rank M
+    it is the suffix count #{ranks >= M+1-i} that z_{M+1-i} reads from the
+    same row. Each point is one add into the total and one 1-D ``take``
+    from its row. The z = 1 point is not read (see :meth:`_TailStore.least`).
     """
-    row_start = np.arange(0, table.size, table.shape[1], dtype=np.intp)[:, None]
-    least = np.full(width, np.inf)
-    for blocks in halves:
-        start = 0
-        for block in blocks:
-            flat = block + row_start[start : start + len(block)]
-            np.minimum(least, np.take(table, flat).min(axis=0), out=least)
-            start += len(block)
+    half = len(table)
+    least = np.full(counts.shape[1], np.inf)
+    for ranks in (counts[:half], counts[:half:-1]):
+        total = np.zeros(counts.shape[1], dtype=counts.dtype)
+        for row, count in zip(table, ranks):
+            np.add(total, count, out=total)
+            np.minimum(least, row.take(total), out=least)
     return least
 
 
@@ -338,29 +331,17 @@ def _null_rows(n: int, M: int):
         yield rng.integers(0, M + 1, size=(min(_ROW_BLOCK, n - start), _N_MC), dtype=np.int32)
 
 
-def _running_sums(counts: np.ndarray):
-    """The running sums of ``counts`` down its rows, _TAKE_ROWS rows at a time."""
-    total = np.zeros(counts.shape[1], dtype=counts.dtype)
-    for start in range(0, len(counts), _TAKE_ROWS):
-        rows = counts[start : start + _TAKE_ROWS]
-        block = np.empty_like(rows)
-        for i, row in enumerate(rows):
-            # a running add per point: cumsum(axis=0) walks the columns
-            total = np.add(total, row, out=block[i])
-        yield block
-
-
 def _prefix_nulls(lengths: list[int], M: int):
     """Yield (n, log gamma_bar) for each ascending prefix length n.
 
     A missing null is filled in the same pass: the rows of the calibration
     draw are added block by block to one running point-major (M+1, _N_MC)
-    int32 matrix of rank counts. At each missing n, its running sums,
-    taken _TAKE_ROWS ranks at a time, give the ECDF counts at the points
-    z_i <= 1/2 when summed up from rank 0, and the suffix counts that their
-    mirrors read when summed down from rank M. Each block is read from the
-    (n, M) table and folded into the least entry of each replicate (see
-    :func:`_take_least`), so no (M+1, _N_MC) matrix of ECDF counts is held.
+    int32 matrix of rank counts. At each missing n, the (n, M) table is read
+    a point at a time: one running int32 row of counts per half of the
+    grid, summed up from rank 0 for the points z_i <= 1/2 and down from
+    rank M for their mirrors, indexes one ``take`` from the point's table
+    row, folded into the least entry of each replicate (see
+    :func:`_null_least`), so no (M+1, _N_MC) matrix of ECDF counts is held.
     The sorted null and its _LEVEL quantile are stored together. A fill
     builds the (n, M) table unless it is current, so when a filled n is
     yielded the caller's own kernel call at n reads that table too. A hit
@@ -390,11 +371,7 @@ def _prefix_nulls(lengths: list[int], M: int):
                 np.add.at(counts.reshape(-1), flat, np.int32(1))
                 block = block[take:]
                 counted += take
-            # the suffix counts of the mirrored points are running sums down from rank M
-            half = (M + 1) // 2
-            sums = (_running_sums(counts[:half]), _running_sums(counts[:half:-1]))
-            least = _take_least(_tails.current(n, M), sums, _N_MC)
-            log_null = np.sort(_LOG2 + least)
+            log_null = np.sort(_LOG2 + _null_least(_tails.current(n, M), counts))
             _log_bar_cache[key] = float(np.quantile(log_null, _LEVEL))
             _null_cache[key] = log_null
         yield n, _log_bar_cache[key]
@@ -531,11 +508,11 @@ def ecdf_band(S: int, M: int) -> EcdfBand:
     half = len(table)
     lower = np.empty(M + 1, dtype=np.intp)
     upper = np.empty(M + 1, dtype=np.intp)
-    # _TAKE_ROWS rows at a time, so no temporary the size of the table
-    for start in range(0, half, _TAKE_ROWS):
-        inside = _LOG2 + table[start : start + _TAKE_ROWS] >= log_bar
-        lower[start : start + len(inside)] = inside.argmax(axis=1)
-        upper[start : start + len(inside)] = S - inside[:, ::-1].argmax(axis=1)
+    # a row at a time, so no temporary the size of the table
+    for i, row in enumerate(table):
+        inside = _LOG2 + row >= log_bar
+        lower[i] = inside.argmax()
+        upper[i] = S - inside[::-1].argmax()
     lower[half:M] = S - upper[: M - half][::-1]
     upper[half:M] = S - lower[: M - half][::-1]
     lower[M] = upper[M] = S

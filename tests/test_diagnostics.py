@@ -16,16 +16,14 @@ from sbc_lab.core import run_sbc
 from sbc_lab.diagnostics import (
     _N_MC,
     _NULL_STREAM,
-    _TAKE_ROWS,
     NULL_CALIBRATION_SEED,
     RankSet,
     _check_max_rank,
     _log_gammas_for_matrix,
     _null_cache,
+    _null_least,
     _null_rows,
     _rank_counts,
-    _running_sums,
-    _take_least,
     _TailStore,
     _z_points,
     chi_square_uniformity,
@@ -390,7 +388,7 @@ class TestEvolution:
 
 
 class TestNullPass:
-    """The null pass holds one int32 count matrix and reads its table in point blocks."""
+    """The null pass holds one int32 count matrix and reads its table a row at a time."""
 
     @pytest.mark.parametrize("M", [1, 2, 100, 1000, 65535])
     def test_int32_calibration_draw_equals_the_int64_draw(self, M):
@@ -406,7 +404,7 @@ class TestNullPass:
         rng = stream(NULL_CALIBRATION_SEED, key)
         assert np.array_equal(rows, rng.integers(0, M + 1, size=(72, _N_MC)))
 
-    @pytest.mark.parametrize("M", [1, 7, 8, 16, 17, 100])  # halves below, at and past _TAKE_ROWS
+    @pytest.mark.parametrize("M", [1, 7, 8, 16, 17, 100])  # even and odd, one built row to 50
     def test_take_loop_equals_a_whole_table_take(self, M):
         S, B = 60, 300
         R = np.sort(stream(S, M).integers(0, S + 1, size=(M + 1, B)), axis=0)
@@ -416,19 +414,32 @@ class TestNullPass:
         whole = whole.min(axis=0)
         store = _TailStore(1 << 30)
         table = store.current(S, M)
-        # the counts at the points z_i <= 1/2, and the suffix counts at their mirrors
-        half = (M + 1) // 2
-        halves = R[:half], S - R[M - 1 : half - 1 : -1]
-        blocks = [[h[i : i + _TAKE_ROWS] for i in range(0, len(h), _TAKE_ROWS)] for h in halves]
-        assert _take_least(table, blocks, B).tobytes() == whole.tobytes()
-        # the null pass's blocks: running sums of int32 counts per rank value,
-        # up from rank 0 and down from rank M
+        # the one gather of the current table, whatever the dtype of the counts
+        assert store.least(R.astype(np.int32), S, M).tobytes() == whole.tobytes()
+        # the null pass: running sums of int32 counts per rank value, up from
+        # rank 0 and down from rank M, one take per point
         counts = np.diff(R, axis=0, prepend=0).astype(np.int32)
-        sums = (_running_sums(counts[:half]), _running_sums(counts[:half:-1]))
-        assert _take_least(table, sums, B).tobytes() == whole.tobytes()
+        given_counts = counts.copy()
+        assert _null_least(table, counts).tobytes() == whole.tobytes()
+        assert np.array_equal(counts, given_counts)
         given = R.copy()
         assert store.least(given, S, M).tobytes() == whole.tobytes()
-        assert np.array_equal(given, R)  # the take path leaves R as it is
+        assert np.array_equal(given, R)  # the gather leaves R as it is
+
+    @pytest.mark.parametrize("n", [1, 9, 57])
+    @pytest.mark.parametrize("M", [1, 2, 7, 20])
+    def test_null_equals_the_whole_table_minimum_of_the_one_shot_draw(self, n, M, monkeypatch):
+        # an oracle that shares no lookup code with the pass: ECDF counts by
+        # comparison, every point of the whole table, and one fancy index
+        monkeypatch.setattr(diagnostics, "_tails", _TailStore(diagnostics._CHECKPOINT_BYTES))
+        monkeypatch.delitem(_null_cache, (n, M), raising=False)
+        rng = stream(NULL_CALIBRATION_SEED, _NULL_STREAM + (M << 32) + _N_MC)
+        draw = rng.integers(0, M + 1, size=(n, _N_MC))
+        R = (draw[None] < np.arange(1, M + 2)[:, None, None]).sum(axis=1)
+        entries = whole_table(n, M)[np.arange(M + 1)[:, None], R]
+        expected = np.sort(diagnostics._LOG2 + entries.min(axis=0))
+        log_gamma_null_quantile_cached(n, M)
+        assert _null_cache[(n, M)].tobytes() == expected.tobytes()
 
     def test_a_cold_null_holds_no_int64_matrix_per_point(self, monkeypatch):
         # one (M+1) x _N_MC int64 matrix, 40 MB at M = 1000, plus the table's
@@ -821,7 +832,7 @@ class TestEcdfBand:
         "S, M", [(1, 1), (10, 7), (57, 9), (100, 16), (300, 20), (1000, 100)]
     )
     def test_band_equals_the_whole_table_comparison(self, S, M):
-        # ceil(M/2) built rows below, at and past _TAKE_ROWS, and not a multiple of it
+        # ceil(M/2) built rows, from one to 50, even and odd in number
         band = ecdf_band(S, M)
         inside = diagnostics._LOG2 + whole_table(S, M) >= log_gamma_null_quantile_cached(S, M)
         assert band.lower.tobytes() == inside.argmax(axis=1).tobytes()
